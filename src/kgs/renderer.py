@@ -4,8 +4,15 @@ Forward: deform the dynamic set, gate on the partition, refine covariances
 against predicted velocities, project with the local affine pinhole
 Jacobian, bin splats into pixel tiles by conservative screen-space extent,
 and composite front-to-back per pixel. The backward pass is fully analytic
-and mirrors every stage; per-tile work recomputes its intermediates from the
-tape, which reproduces the forward bit-exactly.
+and mirrors every stage.
+
+A tile is composited in depth-ordered slices of CHUNK splats by one chunk
+step, which the forward and the backward pass share. The forward carries
+transmittance from slice to slice and records each slice's entering
+transmittance on the tape. The backward walks the slices back to front:
+it re-evaluates one slice from its record, which reproduces the forward's
+transmittance and blend weights bit-exactly, and carries the summed
+contributions of the splats behind it.
 
 Tiles are independent: they may run on a thread pool, and results merge in
 fixed tile order, so renders are bit-identical for any thread count.
@@ -52,6 +59,10 @@ from .kinematics import (
 )
 from .lod import LodConfig, min_scale_per_gaussian
 
+# Splats per depth-ordered slice of a tile: the compositor's temporaries are
+# pixels x CHUNK, whatever a tile's depth.
+CHUNK = 64
+
 _POOLS: dict = {}
 
 
@@ -93,11 +104,13 @@ class RenderedFrame:
 class RenderTape:
     pose: dict
     proj: dict
-    tiles: list
-    touched: np.ndarray
+    tiles: list                # per tile, splat indices in depth order
+    touched: np.ndarray        # (N,) splats binned to any tile
     cam: Camera
     settings: RenderSettings
     n: int
+    chunk_starts: list         # per tile, (slices, pixels) entering transmittance
+    transmittance: np.ndarray  # (H,W) final transmittance
 
 
 @dataclass
@@ -453,6 +466,8 @@ def _project_backward(proj, cam: Camera, d_mean2d, d_conic):
 # ---------------------------------------------------------------------------
 
 def _bin_tiles(mean2d, cov2d, depth, valid, width, height, tile):
+    """Per tile, the indices of the splats whose square 5-sigma extent
+    overlaps it, in depth order; and the mask of splats on any tile."""
     n = mean2d.shape[0]
     mid = 0.5 * (cov2d[:, 0, 0] + cov2d[:, 1, 1])
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
@@ -460,24 +475,28 @@ def _bin_tiles(mean2d, cov2d, depth, valid, width, height, tile):
     radius = FOOTPRINT_RADIUS * np.sqrt(lam_max)
     ntx = (width + tile - 1) // tile
     nty = (height + tile - 1) // tile
-    tiles = [[] for _ in range(ntx * nty)]
-    touched = np.zeros(n, dtype=bool)
     order = np.argsort(depth, kind="stable")
     order = order[valid[order]]
-    for i in order:
-        mx, my, r = mean2d[i, 0], mean2d[i, 1], radius[i]
-        tx0 = max(int(np.floor((mx - r) / tile)), 0)
-        tx1 = min(int(np.floor((mx + r) / tile)), ntx - 1)
-        ty0 = max(int(np.floor((my - r) / tile)), 0)
-        ty1 = min(int(np.floor((my + r) / tile)), nty - 1)
-        if tx0 > tx1 or ty0 > ty1:
-            continue
-        touched[i] = True
-        for ty in range(ty0, ty1 + 1):
-            row = ty * ntx
-            for tx in range(tx0, tx1 + 1):
-                tiles[row + tx].append(i)
-    return ([np.asarray(t, dtype=int) for t in tiles], (ntx, nty), touched)
+    # tile ranges stay floats until clipped, so far-off splats cannot overflow
+    lo = np.maximum(np.floor((mean2d[order] - radius[order, None]) / tile), 0.0)
+    hi = np.minimum(np.floor((mean2d[order] + radius[order, None]) / tile),
+                    [ntx - 1, nty - 1])
+    hit = (lo <= hi).all(axis=1)
+    order = order[hit]
+    lo = lo[hit].astype(np.int64)
+    span = hi[hit].astype(np.int64) - lo + 1
+    touched = np.zeros(n, dtype=bool)
+    touched[order] = True
+    # one (tile, splat) pair per covered tile, splats in depth order; a stable
+    # sort by tile keeps that order inside each tile
+    counts = span[:, 0] * span[:, 1]
+    owner = np.repeat(np.arange(order.size), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    tid = ((lo[owner, 1] + k // span[owner, 0]) * ntx
+           + lo[owner, 0] + k % span[owner, 0])
+    splats = order[owner[np.argsort(tid, kind="stable")]]
+    bounds = np.cumsum(np.bincount(tid, minlength=ntx * nty))[:-1]
+    return np.split(splats, bounds), touched
 
 
 def _tile_rect(tile_id, ntx, tile, width, height):
@@ -487,84 +506,112 @@ def _tile_rect(tile_id, ntx, tile, width, height):
     return x0, y0, min(x0 + tile, width), min(y0 + tile, height)
 
 
-def _tile_compute(idx, rect, mean2d, conic, opac, colors, s: RenderSettings):
-    """Shared forward math for one tile; returns everything compositing needs."""
+def _pixel_centers(rect):
     x0, y0, x1, y1 = rect
     xs = np.arange(x0, x1) + 0.5
     ys = np.arange(y0, y1) + 0.5
-    px = np.tile(xs, y1 - y0)        # row-major pixel centers
-    py = np.repeat(ys, x1 - x0)
-    dx = px[:, None] - mean2d[idx, 0][None, :]
-    dy = py[:, None] - mean2d[idx, 1][None, :]
-    a = conic[idx, 0][None, :]
-    b = conic[idx, 1][None, :]
-    c = conic[idx, 2][None, :]
+    return np.tile(xs, y1 - y0), np.repeat(ys, x1 - x0)   # row-major
+
+
+def _chunk_step(idx, px, py, t_in, mean2d, conic, opac, s: RenderSettings):
+    """Composite pixels (px, py), entering with transmittance t_in, against
+    one depth-ordered slice idx of a tile's splats.
+
+    The transmittance product is seeded with t_in, so it is the same
+    sequential product as over the whole tile. The splats a pixel processes
+    are a prefix of its list; the returned t_out is the transmittance after
+    its last processed one, which is both the seed of the next slice and,
+    after the last slice, the pixel's final transmittance.
+    """
+    dx = px[:, None] - mean2d[idx, 0]
+    dy = py[:, None] - mean2d[idx, 1]
+    a, b, c = conic[idx].T
     q = a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
     G = np.where(q <= s.chi2, np.exp(-0.5 * q), 0.0)
-    alpha_raw = opac[idx][None, :] * G
+    alpha_raw = opac[idx] * G
     alpha = np.minimum(alpha_raw, s.alpha_max)
-    T = np.cumprod(1.0 - alpha, axis=1)
-    t_before = np.concatenate([np.ones((alpha.shape[0], 1)), T[:, :-1]], axis=1)
+    T = np.cumprod(np.concatenate([t_in[:, None], 1.0 - alpha], axis=1), axis=1)
+    t_before = T[:, :-1]
     proc = t_before >= s.cutoff
     w = alpha * t_before * proc
-    count = proc.sum(axis=1)
-    t_final = np.where(count > 0,
-                       np.take_along_axis(T, np.maximum(count - 1, 0)[:, None], 1)[:, 0],
-                       1.0)
-    return dx, dy, q, G, alpha_raw, alpha, t_before, proc, w, t_final
+    t_out = T[np.arange(T.shape[0]), proc.sum(axis=1)]
+    return dx, dy, G, alpha_raw, alpha, t_before, proc, w, t_out
+
+
+def _chunks(idx):
+    return [(lo, idx[lo:lo + CHUNK]) for lo in range(0, idx.size, CHUNK)]
 
 
 def _tile_forward(idx, rect, mean2d, conic, opac, colors, s: RenderSettings):
+    """Composite one tile slice by slice. Returns its pixels, final
+    transmittance, per-splat blend weights, and each slice's entering
+    transmittance (one row per slice) for the backward pass."""
     x0, y0, x1, y1 = rect
+    px, py = _pixel_centers(rect)
+    trans = np.ones(px.size)
+    pix = np.zeros((px.size, 3))
+    importance = np.empty(idx.size)
+    chunks = _chunks(idx)
+    starts = np.empty((len(chunks), px.size))
+    for j, (lo, sl) in enumerate(chunks):
+        starts[j] = trans
+        *_, w, trans = _chunk_step(sl, px, py, trans, mean2d, conic, opac, s)
+        pix += w @ colors[sl]
+        importance[lo:lo + sl.size] = w.sum(axis=0)
+    pix += trans[:, None] * s.background
     h, wdt = y1 - y0, x1 - x0
-    if idx.size == 0:
-        img = np.broadcast_to(s.background, (h, wdt, 3)).copy()
-        return img, np.ones((h, wdt)), idx, np.zeros(0)
-    dx, dy, q, G, alpha_raw, alpha, t_before, proc, w, t_final = _tile_compute(
-        idx, rect, mean2d, conic, opac, colors, s)
-    pix = w @ colors[idx] + t_final[:, None] * s.background
-    importance = w.sum(axis=0)
-    return pix.reshape(h, wdt, 3), t_final.reshape(h, wdt), idx, importance
+    return pix.reshape(h, wdt, 3), trans.reshape(h, wdt), importance, starts
 
 
-def _tile_backward(idx, rect, mean2d, conic, opac, colors, s: RenderSettings,
-                   d_img_tile):
-    if idx.size == 0:
-        return idx, None
-    dx, dy, q, G, alpha_raw, alpha, t_before, proc, w, t_final = _tile_compute(
-        idx, rect, mean2d, conic, opac, colors, s)
+def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
+                   s: RenderSettings, d_img_tile):
+    """Gradients of one tile's splats, columns (mean2d 2, conic 3, opacity 1,
+    color 3). Walks the slices back to front from their recorded entering
+    transmittance, carrying the summed contributions behind each splat."""
+    px, py = _pixel_centers(rect)
     p = d_img_tile.reshape(-1, 3)
-    col = colors[idx]
-    d_w = p @ col.T
-    d_colors = w.T @ p
-    d_tfinal = p @ s.background
-    A = d_w * w
-    rear = np.cumsum(A[:, ::-1], axis=1)[:, ::-1] - A
-    rear += (d_tfinal * t_final)[:, None]
-    d_alpha = (d_w * t_before - rear / (1.0 - alpha)) * proc
-    unclamped = alpha_raw <= s.alpha_max
-    d_alpha_raw = d_alpha * unclamped
-    d_G = d_alpha_raw * opac[idx][None, :]
-    d_opac = (d_alpha_raw * G).sum(axis=0)
-    d_q = -0.5 * G * d_G
-    a = conic[idx, 0][None, :]
-    b = conic[idx, 1][None, :]
-    c = conic[idx, 2][None, :]
-    d_dx = d_q * (2.0 * a * dx + 2.0 * b * dy)
-    d_dy = d_q * (2.0 * b * dx + 2.0 * c * dy)
-    d_mean = -np.stack([d_dx.sum(axis=0), d_dy.sum(axis=0)], axis=-1)
-    d_conic = np.stack([(d_q * dx * dx).sum(axis=0),
-                        (d_q * 2.0 * dx * dy).sum(axis=0),
-                        (d_q * dy * dy).sum(axis=0)], axis=-1)
-    return idx, (d_mean, d_conic, d_opac, d_colors)
+    behind = (p @ s.background) * t_final.reshape(-1)
+    grads = np.empty((idx.size, 9))
+    for j, (lo, sl) in reversed(list(enumerate(_chunks(idx)))):
+        dx, dy, G, alpha_raw, alpha, t_before, proc, w, _ = _chunk_step(
+            sl, px, py, starts[j], mean2d, conic, opac, s)
+        d_w = p @ colors[sl].T
+        # acc[:, i]: behind + the contributions d_w * w of the slice's last i
+        # splats, so acc[:, -2::-1][:, k] sums everything behind splat k
+        acc = np.empty((p.shape[0], sl.size + 1))
+        acc[:, 0] = behind
+        np.multiply(d_w[:, ::-1], w[:, ::-1], out=acc[:, 1:])
+        np.cumsum(acc, axis=1, out=acc)
+        behind = acc[:, -1].copy()
+        d_alpha = d_w * t_before - acc[:, -2::-1] / (1.0 - alpha)
+        d_alpha *= proc
+        d_alpha *= alpha_raw <= s.alpha_max     # d/d alpha_raw
+        g = grads[lo:lo + sl.size]
+        g[:, 5] = (d_alpha * G).sum(axis=0)
+        d_q = d_alpha * opac[sl]
+        d_q *= -0.5 * G
+        qx, qy = d_q * dx, d_q * dy
+        sx, sy = qx.sum(axis=0), qy.sum(axis=0)
+        a, b, c = conic[sl].T
+        g[:, 0] = -(2.0 * a * sx + 2.0 * b * sy)
+        g[:, 1] = -(2.0 * b * sx + 2.0 * c * sy)
+        g[:, 2] = (qx * dx).sum(axis=0)
+        g[:, 3] = 2.0 * (qx * dy).sum(axis=0)
+        g[:, 4] = (qy * dy).sum(axis=0)
+        g[:, 6:9] = w.T @ p
+    return grads
 
 
-def _raster_forward(tiles, grid, cam, proj, pose, s: RenderSettings, n):
-    ntx, _ = grid
+def _map_tiles(job, count, threads):
+    pool = _pool(threads)
+    return list(pool.map(job, range(count)) if pool else map(job, range(count)))
+
+
+def _raster_forward(tiles, cam, proj, pose, s: RenderSettings, n):
+    ntx = (cam.width + s.tile - 1) // s.tile
     width, height = cam.width, cam.height
     image = np.empty((height, width, 3))
     trans = np.empty((height, width))
-    importance = np.zeros(n)
     mean2d, conic = proj["mean2d"], proj["conic"]
     opac, colors = pose["opac"], pose["colors_c"]
 
@@ -572,15 +619,14 @@ def _raster_forward(tiles, grid, cam, proj, pose, s: RenderSettings, n):
         rect = _tile_rect(tid, ntx, s.tile, width, height)
         return rect, _tile_forward(tiles[tid], rect, mean2d, conic, opac, colors, s)
 
-    pool = _pool(s.threads)
-    results = pool.map(job, range(len(tiles))) if pool else map(job, range(len(tiles)))
-    for rect, (pix, tfin, idx, imp) in results:
-        x0, y0, x1, y1 = rect
+    starts, weights = [], []
+    for (x0, y0, x1, y1), (pix, tfin, imp, st) in _map_tiles(job, len(tiles), s.threads):
         image[y0:y1, x0:x1] = pix
         trans[y0:y1, x0:x1] = tfin
-        if idx.size:
-            np.add.at(importance, idx, imp)
-    return image, trans, importance
+        weights.append(imp)
+        starts.append(st)
+    importance = np.bincount(np.concatenate(tiles), np.concatenate(weights), minlength=n)
+    return image, trans, importance, starts
 
 
 def _raster_backward(tape: RenderTape, d_image):
@@ -590,29 +636,18 @@ def _raster_backward(tape: RenderTape, d_image):
     ntx = (width + s.tile - 1) // s.tile
     mean2d, conic = proj["mean2d"], proj["conic"]
     opac, colors = pose["opac"], pose["colors_c"]
-    n = tape.n
-    d_mean2d = np.zeros((n, 2))
-    d_conic = np.zeros((n, 3))
-    d_opac = np.zeros(n)
-    d_colors = np.zeros((n, 3))
 
     def job(tid):
-        rect = _tile_rect(tid, ntx, s.tile, width, height)
-        x0, y0, x1, y1 = rect
-        return _tile_backward(tape.tiles[tid], rect, mean2d, conic, opac, colors,
-                              s, d_image[y0:y1, x0:x1])
+        x0, y0, x1, y1 = rect = _tile_rect(tid, ntx, s.tile, width, height)
+        return _tile_backward(tape.tiles[tid], rect, tape.chunk_starts[tid],
+                              tape.transmittance[y0:y1, x0:x1], mean2d, conic,
+                              opac, colors, s, d_image[y0:y1, x0:x1])
 
-    pool = _pool(s.threads)
-    results = pool.map(job, range(len(tape.tiles))) if pool else map(job, range(len(tape.tiles)))
-    for idx, grads in results:
-        if grads is None:
-            continue
-        dm, dc, do, dcol = grads
-        np.add.at(d_mean2d, idx, dm)
-        np.add.at(d_conic, idx, dc)
-        np.add.at(d_opac, idx, do)
-        np.add.at(d_colors, idx, dcol)
-    return d_mean2d, d_conic, d_opac, d_colors
+    grads = np.concatenate(_map_tiles(job, len(tape.tiles), s.threads))
+    idx = np.concatenate(tape.tiles)
+    merged = np.stack([np.bincount(idx, col, minlength=tape.n) for col in grads.T],
+                      axis=1)
+    return merged[:, 0:2], merged[:, 2:5], merged[:, 5], merged[:, 6:9]
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +671,10 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     pose = _pose_forward(scene, partition, fieldp, neighbor_table, t, dt,
                          blur_dt, sigma, rng, settings)
     proj = _project_forward(pose["pos_t"], pose["cov_render"], cam, settings.dilation)
-    tiles, grid, touched = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                                      proj["valid"], cam.width, cam.height,
-                                      settings.tile)
-    image, trans, importance = _raster_forward(tiles, grid, cam, proj, pose,
-                                               settings, scene.n)
+    tiles, touched = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
+                                proj["valid"], cam.width, cam.height, settings.tile)
+    image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,
+                                                       settings, scene.n)
     if not np.all(np.isfinite(image)):
         bad = np.argwhere(~np.isfinite(image))[0]
         raise NumericalError(f"non-finite pixel at {tuple(bad[:2])}")
@@ -649,14 +683,15 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     if not want_tape:
         return frame
     tape = RenderTape(pose=pose, proj=proj, tiles=tiles, touched=touched,
-                      cam=cam, settings=settings, n=scene.n)
+                      cam=cam, settings=settings, n=scene.n, chunk_starts=starts,
+                      transmittance=trans)
     return frame, tape
 
 
 def replay_tape(tape: RenderTape):
     """Re-run compositing from the tape; bit-identical to the forward image."""
-    image, _, _ = _raster_forward(tape.tiles, None, tape.cam, tape.proj,
-                                  tape.pose, tape.settings, tape.n)
+    image, _, _, _ = _raster_forward(tape.tiles, tape.cam, tape.proj, tape.pose,
+                                     tape.settings, tape.n)
     return np.clip(image, 0.0, 1.0)
 
 
@@ -696,12 +731,12 @@ def render_points(positions, cov3, colors, opacities, cam: Camera,
     """Rasterize bare world-space Gaussians (no deformation, no refinement)."""
     proj = _project_forward(np.asarray(positions, dtype=float),
                             np.asarray(cov3, dtype=float), cam, settings.dilation)
-    tiles, grid, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                                proj["valid"], cam.width, cam.height, settings.tile)
+    tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
+                          proj["valid"], cam.width, cam.height, settings.tile)
     pose = {"opac": np.asarray(opacities, dtype=float),
             "colors_c": np.clip(np.asarray(colors, dtype=float), 0.0, 1.0)}
     n = np.asarray(positions).shape[0]
-    image, trans, importance = _raster_forward(tiles, grid, cam, proj, pose, settings, n)
+    image, trans, importance, _ = _raster_forward(tiles, cam, proj, pose, settings, n)
     return RenderedFrame(image=np.clip(image, 0.0, 1.0), transmittance=trans,
                          importance=importance)
 

@@ -15,6 +15,7 @@ import numpy as np
 from .gaussians import InvalidInputError, quat_normalize
 
 MAGIC = b"KGS1"
+VERSION = 1
 
 
 @dataclass
@@ -109,11 +110,11 @@ def write_checkpoint(path, arrays: dict, meta: dict):
         blob = arr.astype(dt, copy=False).tobytes()
         fields.append({"name": name, "dtype": dt.str, "shape": list(arr.shape)})
         blobs.append(blob)
-    header = json.dumps({"version": 1, "fields": fields, "meta": meta},
+    header = json.dumps({"version": VERSION, "fields": fields, "meta": meta},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(np.uint32(len(header)).newbyteorder("<").tobytes())
+        fh.write(np.array(len(header), dtype="<u4").tobytes())
         fh.write(header)
         for blob in blobs:
             fh.write(blob)
@@ -127,6 +128,9 @@ def read_checkpoint(path):
             raise InvalidInputError(f"bad checkpoint magic {magic!r} in {path}")
         (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
         header = json.loads(fh.read(int(hlen)).decode("utf-8"))
+        if header.get("version") != VERSION:
+            raise InvalidInputError(
+                f"unsupported checkpoint version {header.get('version')!r} in {path}")
         arrays = {}
         for f in header["fields"]:
             dt = np.dtype(f["dtype"])

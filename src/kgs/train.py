@@ -385,11 +385,14 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
                weights: LossWeights, dcfg: DensifyConfig, schedule: NoiseSchedule,
                log_rows: list, iterations=None, on_checkpoint=None):
     """Run (or continue) training. dataset supplies train_frames():
-    a list of (cam, target, t) and dt. Appends one log row per iteration."""
+    a list of (cam, target, t) and dt. Appends one log row per iteration.
+
+    `iterations` only says where to stop; every schedule follows
+    cfg.iterations, so a run stopped early is a prefix of the full run."""
     frames = dataset.train_frames()
     dt = dataset.frame_interval()
     total = iterations if iterations is not None else cfg.iterations
-    level_budget = max(total // settings.lod.l_max, 1)
+    level_budget = max(cfg.iterations // settings.lod.l_max, 1)
     batch = max(cfg.batch, 1)
 
     while state.iteration < total:
