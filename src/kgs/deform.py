@@ -273,15 +273,6 @@ def predict_offsets_backward(params: FieldParams, cache, d_offsets):
     return d_w1, d_b1, d_w2, d_b2, d_positions, d_quats, d_log_scales
 
 
-def predict_offsets(params: FieldParams, gaussian, t, noise_sigma=0.0, rng=None,
-                    clamps: OffsetClamps = OffsetClamps()):
-    """Single-splat convenience wrapper; returns (dx, d_rot, d_scale)."""
-    out, _ = predict_offsets_batch(
-        params, gaussian.position[None], gaussian.rotation[None],
-        gaussian.log_scale_opt[None], t, noise_sigma, rng, clamps)
-    return out[0, 0:3], out[0, 3:6], out[0, 6:9]
-
-
 def fine_offsets_batch(params: FieldParams, feature_rows, t, clamps: OffsetClamps):
     """Fine residual offsets for the dynamic subset from its feature rows."""
     n = feature_rows.shape[0]
@@ -301,12 +292,6 @@ def fine_offsets_backward(params: FieldParams, cache, d_offsets):
         cache["mlp"], params.fine_w1, params.fine_w2, d_raw)
     d_features = d_inputs[:, :cache["feature_dim"]]
     return d_w1, d_b1, d_w2, d_b2, d_features
-
-
-def fine_deform(params: FieldParams, feature, t, clamps: OffsetClamps = OffsetClamps()):
-    """Single-splat fine residual; the splat must be dynamic."""
-    out, _ = fine_offsets_batch(params, np.asarray(feature, dtype=float)[None], t, clamps)
-    return out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,6 @@ def solve_log_scale(target_effective, level, cfg: LodConfig):
     return out, feasible
 
 
-def accumulate_importance(importance, increments):
-    """Add one render pass's per-splat blend-weight sums."""
-    importance += increments
-    return importance
-
-
 def advance_level(scene, cfg: LodConfig):
     """Move the whole scene one level finer.
 
@@ -122,11 +116,17 @@ def advance_level(scene, cfg: LodConfig):
 
 def densify_candidates(scene, grad_accum, grad_count, cfg_d: DensifyConfig,
                        lod_cfg: LodConfig):
-    """Split/clone masks from accumulated screen-space gradient statistics."""
+    """Split/clone masks from accumulated screen-space gradient statistics,
+    highest average gradient first while the scene, with clones and split
+    children added and split parents dropped, stays within max_gaussians."""
     avg = grad_accum / np.maximum(grad_count, 1)
-    hot = avg > cfg_d.grad_threshold
     eff = effective_scale(scene.log_scales, scene.levels, lod_cfg)
     big = eff.max(axis=1) > cfg_d.percent_dense * cfg_d.scene_extent
+    growth = np.where(big, cfg_d.split_children - 1, 1)
+    order = np.argsort(-avg, kind="stable")
+    order = order[avg[order] > cfg_d.grad_threshold]
+    hot = np.zeros(scene.n, dtype=bool)
+    hot[order[np.cumsum(growth[order]) <= cfg_d.max_gaussians - scene.n]] = True
     return hot & big, hot & ~big      # split_mask, clone_mask
 
 

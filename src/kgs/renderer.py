@@ -14,13 +14,21 @@ it re-evaluates one slice from its record, which reproduces the forward's
 transmittance and blend weights bit-exactly, and carries the summed
 contributions of the splats behind it.
 
+A tile's pixels are a grid of columns and rows, so the chunk step takes
+each splat's offsets per column (dx) and per row (dy) and builds the
+footprint quadratic q from per-column and per-row terms. It adds the same
+products in the same order as at one pixel, so q is bit-identical, and only
+three of its operations are pixels x splats. The backward sums d q over rows
+and over columns and weights the sums by dx and dy: only the cross moment
+needs a full-size product.
+
 Tiles are independent: they may run on a thread pool, and results merge in
 fixed tile order, so renders are bit-identical for any thread count.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +49,7 @@ from .gaussians import (
     FOOTPRINT_RADIUS,
     TRANSMITTANCE_CUTOFF,
     Camera,
+    InvalidInputError,
     NumericalError,
     covariance_from_matrix,
     dexp_map_so3,
@@ -188,12 +197,11 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
         s.clamps, noise_shared=s.noise_shared)
 
     fine_cache = None
-    table = neighbor_table
     if s.coarse_fine and dyn_idx.size:
-        if table is None:
-            from .deform import build_neighbor_table
-            table = build_neighbor_table(scene.positions[dyn_idx], 8)
-        coarse = coarse_offsets_batch(raw[dyn_idx], table)
+        if neighbor_table is None:
+            raise InvalidInputError("pose stage: coarse/fine deformation of the "
+                                    "dynamic splats needs a neighbor_table")
+        coarse = coarse_offsets_batch(raw[dyn_idx], neighbor_table)
         fine, fine_cache = fine_offsets_batch(fieldp, fieldp.features[dyn_idx], t, s.clamps)
         eff_dyn = coarse + fine
     else:
@@ -253,7 +261,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     opac = sigmoid(scene.opacity_logits)
 
     return {"n": n, "dyn": dyn, "dyn_idx": dyn_idx, "q_n": q_n, "raw": raw,
-            "pred_cache": pred_cache, "fine_cache": fine_cache, "table": table,
+            "pred_cache": pred_cache, "fine_cache": fine_cache, "table": neighbor_table,
             "offsets": offsets, "pos_t": pos_t, "E": E, "R_q": R_q,
             "R_pred": R_pred, "exp_term": exp_term, "s_pred": s_pred,
             "cov_pred": cov_pred, "v": v, "speed": speed, "refined": refined,
@@ -506,16 +514,15 @@ def _tile_rect(tile_id, ntx, tile, width, height):
     return x0, y0, min(x0 + tile, width), min(y0 + tile, height)
 
 
-def _pixel_centers(rect):
+def _pixel_axes(rect):
     x0, y0, x1, y1 = rect
-    xs = np.arange(x0, x1) + 0.5
-    ys = np.arange(y0, y1) + 0.5
-    return np.tile(xs, y1 - y0), np.repeat(ys, x1 - x0)   # row-major
+    return np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5
 
 
-def _chunk_step(idx, px, py, t_in, mean2d, conic, opac, s: RenderSettings):
-    """Composite pixels (px, py), entering with transmittance t_in, against
-    one depth-ordered slice idx of a tile's splats.
+def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings):
+    """Composite the row-major pixel grid of columns xs and rows ys,
+    entering with transmittance t_in, against one depth-ordered slice idx of
+    a tile's splats.
 
     The transmittance product is seeded with t_in, so it is the same
     sequential product as over the whole tile. The splats a pixel processes
@@ -523,10 +530,12 @@ def _chunk_step(idx, px, py, t_in, mean2d, conic, opac, s: RenderSettings):
     its last processed one, which is both the seed of the next slice and,
     after the last slice, the pixel's final transmittance.
     """
-    dx = px[:, None] - mean2d[idx, 0]
-    dy = py[:, None] - mean2d[idx, 1]
+    dx = xs[:, None] - mean2d[idx, 0]
+    dy = ys[:, None] - mean2d[idx, 1]
     a, b, c = conic[idx].T
-    q = a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
+    q = (a * dx * dx)[None] + (2.0 * b * dx)[None] * dy[:, None]
+    q += (c * dy * dy)[:, None]
+    q = q.reshape(-1, idx.size)
     G = np.where(q <= s.chi2, np.exp(-0.5 * q), 0.0)
     alpha_raw = opac[idx] * G
     alpha = np.minimum(alpha_raw, s.alpha_max)
@@ -535,7 +544,7 @@ def _chunk_step(idx, px, py, t_in, mean2d, conic, opac, s: RenderSettings):
     proc = t_before >= s.cutoff
     w = alpha * t_before * proc
     t_out = T[np.arange(T.shape[0]), proc.sum(axis=1)]
-    return dx, dy, G, alpha_raw, alpha, t_before, proc, w, t_out
+    return dx, dy, q, G, alpha_raw, alpha, t_before, proc, w, t_out
 
 
 def _chunks(idx):
@@ -546,21 +555,20 @@ def _tile_forward(idx, rect, mean2d, conic, opac, colors, s: RenderSettings):
     """Composite one tile slice by slice. Returns its pixels, final
     transmittance, per-splat blend weights, and each slice's entering
     transmittance (one row per slice) for the backward pass."""
-    x0, y0, x1, y1 = rect
-    px, py = _pixel_centers(rect)
-    trans = np.ones(px.size)
-    pix = np.zeros((px.size, 3))
+    xs, ys = _pixel_axes(rect)
+    trans = np.ones(ys.size * xs.size)
+    pix = np.zeros((trans.size, 3))
     importance = np.empty(idx.size)
     chunks = _chunks(idx)
-    starts = np.empty((len(chunks), px.size))
+    starts = np.empty((len(chunks), trans.size))
     for j, (lo, sl) in enumerate(chunks):
         starts[j] = trans
-        *_, w, trans = _chunk_step(sl, px, py, trans, mean2d, conic, opac, s)
+        *_, w, trans = _chunk_step(sl, xs, ys, trans, mean2d, conic, opac, s)
         pix += w @ colors[sl]
         importance[lo:lo + sl.size] = w.sum(axis=0)
     pix += trans[:, None] * s.background
-    h, wdt = y1 - y0, x1 - x0
-    return pix.reshape(h, wdt, 3), trans.reshape(h, wdt), importance, starts
+    return (pix.reshape(ys.size, xs.size, 3), trans.reshape(ys.size, xs.size),
+            importance, starts)
 
 
 def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
@@ -568,13 +576,13 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
     """Gradients of one tile's splats, columns (mean2d 2, conic 3, opacity 1,
     color 3). Walks the slices back to front from their recorded entering
     transmittance, carrying the summed contributions behind each splat."""
-    px, py = _pixel_centers(rect)
+    xs, ys = _pixel_axes(rect)
     p = d_img_tile.reshape(-1, 3)
     behind = (p @ s.background) * t_final.reshape(-1)
     grads = np.empty((idx.size, 9))
     for j, (lo, sl) in reversed(list(enumerate(_chunks(idx)))):
-        dx, dy, G, alpha_raw, alpha, t_before, proc, w, _ = _chunk_step(
-            sl, px, py, starts[j], mean2d, conic, opac, s)
+        dx, dy, _, G, alpha_raw, alpha, t_before, proc, w, _ = _chunk_step(
+            sl, xs, ys, starts[j], mean2d, conic, opac, s)
         d_w = p @ colors[sl].T
         # acc[:, i]: behind + the contributions d_w * w of the slice's last i
         # splats, so acc[:, -2::-1][:, k] sums everything behind splat k
@@ -584,20 +592,24 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
         np.cumsum(acc, axis=1, out=acc)
         behind = acc[:, -1].copy()
         d_alpha = d_w * t_before - acc[:, -2::-1] / (1.0 - alpha)
-        d_alpha *= proc
-        d_alpha *= alpha_raw <= s.alpha_max     # d/d alpha_raw
+        d_alpha *= proc & (alpha_raw <= s.alpha_max)   # d/d alpha_raw
         g = grads[lo:lo + sl.size]
         g[:, 5] = (d_alpha * G).sum(axis=0)
         d_q = d_alpha * opac[sl]
         d_q *= -0.5 * G
-        qx, qy = d_q * dx, d_q * dy
-        sx, sy = qx.sum(axis=0), qy.sum(axis=0)
+        # moments of d_q against dx, dy: sum over the grid's rows (per
+        # column) or its columns (per row), then weight by dx or dy
+        d_q = d_q.reshape(ys.size, xs.size, sl.size)
+        per_col = d_q.sum(axis=0)
+        per_row = d_q.sum(axis=1)
+        per_col_y = (d_q * dy[:, None]).sum(axis=0)
+        sx, sy = (per_col * dx).sum(axis=0), (per_row * dy).sum(axis=0)
         a, b, c = conic[sl].T
         g[:, 0] = -(2.0 * a * sx + 2.0 * b * sy)
         g[:, 1] = -(2.0 * b * sx + 2.0 * c * sy)
-        g[:, 2] = (qx * dx).sum(axis=0)
-        g[:, 3] = 2.0 * (qx * dy).sum(axis=0)
-        g[:, 4] = (qy * dy).sum(axis=0)
+        g[:, 2] = (per_col * dx * dx).sum(axis=0)
+        g[:, 3] = 2.0 * (per_col_y * dx).sum(axis=0)
+        g[:, 4] = (per_row * dy * dy).sum(axis=0)
         g[:, 6:9] = w.T @ p
     return grads
 

@@ -3,7 +3,8 @@
 Checkpoints are a versioned little-endian binary: 4-byte magic ``KGS1``, a
 uint32 header length, a UTF-8 JSON header describing every array field
 (name, dtype, shape) plus scalar metadata, then the raw arrays concatenated
-in header order. See README for the field table.
+in header order. ``train.save_checkpoint`` says which fields a training
+state writes.
 """
 from __future__ import annotations
 

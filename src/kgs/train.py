@@ -233,7 +233,7 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
     scene = state.scene
     changed = False
     in_window = dcfg.window_start <= iteration <= dcfg.window_end
-    if in_window and iteration % dcfg.interval == 0 and scene.n < dcfg.max_gaussians:
+    if in_window and iteration % dcfg.interval == 0:
         split_mask, clone_mask = densify_candidates(scene, state.grad_accum,
                                                     state.grad_count, dcfg, lod_cfg)
         split_idx = np.where(split_mask)[0]

@@ -8,7 +8,12 @@ from kgs.renderer import (
     CHUNK,
     RenderSettings,
     _bin_tiles,
+    _chunk_step,
+    _pixel_axes,
     _project_forward,
+    _tile_backward,
+    _tile_forward,
+    _tile_rect,
     render,
     render_backward,
     render_points,
@@ -82,6 +87,130 @@ class TestTiledMatchesNaive:
         pts = deep_points(rng, N_DEEP, rng.uniform(1.0, 8.0, N_DEEP), 0.01)
         frame = self.check(*pts)
         assert frame.transmittance.min() > TRANSMITTANCE_CUTOFF
+
+
+# ---------------------------------------------------------------------------
+# the chunk step and the tile backward against per-pixel oracles
+# ---------------------------------------------------------------------------
+
+def composite_pixel(px, py, idx, t, mean2d, conic, opac, s):
+    """Per-pixel reference of the chunk step: splat by splat from
+    transmittance t. Returns per-splat rows (q, G, alpha_raw, t_before, w)
+    and the transmittance after the last processed splat."""
+    rows, t_out = [], t
+    for i in idx:
+        dx, dy = px - mean2d[i, 0], py - mean2d[i, 1]
+        a, b, c = conic[i]
+        q = a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
+        G = np.exp(-0.5 * q) if q <= s.chi2 else 0.0
+        alpha_raw = opac[i] * G
+        alpha = min(alpha_raw, s.alpha_max)
+        processed = t >= s.cutoff
+        rows.append((q, G, alpha_raw, t, alpha * t if processed else 0.0))
+        t = t * (1.0 - alpha)
+        if processed:
+            t_out = t
+    return np.array(rows).T, t_out
+
+
+def tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s, d_img_tile):
+    """Per-pixel reference of _tile_backward: each pixel composites the whole
+    list, then walks it back to front adding its own footprint moments."""
+    x0, y0, x1, y1 = rect
+    grads = np.zeros((idx.size, 9))
+    for yi in range(y0, y1):
+        for xi in range(x0, x1):
+            px, py = xi + 0.5, yi + 0.5
+            (_, G, alpha_raw, t_before, w), t_final = composite_pixel(
+                px, py, idx, 1.0, mean2d, conic, opac, s)
+            p = d_img_tile[yi - y0, xi - x0]
+            behind = (p @ s.background) * t_final
+            for k in reversed(range(idx.size)):
+                i = idx[k]
+                d_w = p @ colors[i]
+                grads[k, 6:9] += w[k] * p
+                if t_before[k] >= s.cutoff and alpha_raw[k] <= s.alpha_max:
+                    d_alpha = d_w * t_before[k] - behind / (1.0 - alpha_raw[k])
+                    grads[k, 5] += d_alpha * G[k]
+                    d_q = -0.5 * d_alpha * opac[i] * G[k]
+                    dx, dy = px - mean2d[i, 0], py - mean2d[i, 1]
+                    a, b, c = conic[i]
+                    grads[k, 0] -= d_q * (2.0 * a * dx + 2.0 * b * dy)
+                    grads[k, 1] -= d_q * (2.0 * b * dx + 2.0 * c * dy)
+                    grads[k, 2] += d_q * dx * dx
+                    grads[k, 3] += 2.0 * d_q * dx * dy
+                    grads[k, 4] += d_q * dy * dy
+                behind += d_w * w[k]
+    return grads
+
+
+def kernel_tiles(tile):
+    """Tiles of the 20x12 camera over deep splats of mixed size and opacity,
+    a few opaque enough to hit alpha_max, with the tile rects."""
+    rng = np.random.default_rng(11)
+    n = N_DEEP
+    opac = rng.uniform(0.01, 0.2, n)
+    opac[[3, 70, 140]] = 0.999
+    positions, cov3, colors, opac = deep_points(rng, n, rng.uniform(1.0, 6.0, n), opac)
+    cam = make_camera()
+    s = RenderSettings(background=SETTINGS.background, tile=tile)
+    proj = _project_forward(positions, cov3, cam, s.dilation)
+    tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
+                          proj["valid"], cam.width, cam.height, tile)
+    ntx = (cam.width + tile - 1) // tile
+    rects = [_tile_rect(tid, ntx, tile, cam.width, cam.height) for tid in range(len(tiles))]
+    return tiles, rects, proj["mean2d"], proj["conic"], opac, colors, s
+
+
+class TestKernel:
+    @pytest.mark.parametrize("tile", [16, 6])
+    def test_chunk_step_matches_per_pixel(self, tile):
+        """Full and ragged tiles with W != H (16x12 and 4x12; 6x6 and 2x6),
+        over slices seeded with the previous slice's transmittance."""
+        tiles, rects, mean2d, conic, opac, _, s = kernel_tiles(tile)
+        shapes, crossed, missed, clamped = set(), 0, 0, 0
+        for idx, rect in zip(tiles, rects):
+            xs, ys = _pixel_axes(rect)
+            shapes.add((xs.size, ys.size))
+            assert idx.size > 2 * CHUNK
+            pixels = [(x, y) for y in ys for x in xs]
+            t_in = np.ones(len(pixels))
+            for lo in range(0, idx.size, CHUNK):
+                sl = idx[lo:lo + CHUNK]
+                _, _, q, G, _, _, t_before, proc, w, t_out = _chunk_step(
+                    sl, xs, ys, t_in, mean2d, conic, opac, s)
+                for p, (px, py) in enumerate(pixels):
+                    (q_p, G_p, _, t_p, w_p), t_end = composite_pixel(
+                        px, py, sl, t_in[p], mean2d, conic, opac, s)
+                    np.testing.assert_array_equal(q[p], q_p)
+                    np.testing.assert_array_equal(G[p], G_p)
+                    np.testing.assert_array_equal(t_before[p], t_p)
+                    np.testing.assert_array_equal(w[p], w_p)
+                    assert t_out[p] == t_end
+                crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
+                missed += int((G == 0).sum())
+                clamped += int((opac[sl] * G > s.alpha_max).sum())
+                t_in = t_out
+        assert shapes == ({(16, 12), (4, 12)} if tile == 16 else {(6, 6), (2, 6)})
+        assert crossed > 0 and missed > 0 and clamped > 0
+
+    @pytest.mark.parametrize("tile", [16, 6])
+    def test_tile_backward_matches_per_pixel_moments(self, tile):
+        tiles, rects, mean2d, conic, opac, colors, s = kernel_tiles(tile)
+        rng = np.random.default_rng(12)
+        for idx, rect in zip(tiles, rects):
+            x0, y0, x1, y1 = rect
+            _, t_final, _, starts = _tile_forward(idx, rect, mean2d, conic, opac,
+                                                  colors, s)
+            d_img = rng.normal(size=(y1 - y0, x1 - x0, 3))
+            got = _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac,
+                                 colors, s, d_img)
+            want = tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s,
+                                        d_img)
+            scale = np.abs(want).max(axis=0)
+            assert (scale > 0).all()
+            assert (np.abs(got - want) <= 1e-13 * scale).all(), \
+                np.abs(got - want).max(axis=0) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +298,16 @@ class TestBackward:
         np.testing.assert_array_equal(f1.importance, f2.importance)
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+class TestPoseStage:
+    def test_coarse_fine_needs_neighbor_table(self):
+        scene, fieldp, partition, _, cam = deep_scene(10, n=40)
+        assert partition.dynamic_indices.size > 0
+        with pytest.raises(ValueError, match="pose stage.*neighbor_table"):
+            render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train", dt=0.125)
+        s = RenderSettings(background=SETTINGS.background, tile=8, coarse_fine=False)
+        render(scene, partition, fieldp, cam, 0.3, s, mode="train", dt=0.125)
 
 
 # ---------------------------------------------------------------------------

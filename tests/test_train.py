@@ -9,7 +9,14 @@ from kgs.decomposition import all_dynamic_partition
 from kgs.deform import build_neighbor_table, init_field_params
 from kgs.gaussians import Camera, InvalidInputError
 from kgs.scene import random_scene, read_checkpoint, write_checkpoint
-from kgs.train import TrainState, load_checkpoint, make_adam, save_checkpoint, train_loop
+from kgs.train import (
+    TrainState,
+    densify_and_prune,
+    load_checkpoint,
+    make_adam,
+    save_checkpoint,
+    train_loop,
+)
 
 
 class Clip:
@@ -61,6 +68,34 @@ class TestStopEarly:
         _, short_losses, short_levels = run(cfg, iterations=6)
         assert short_levels == levels[:6]
         assert short_losses == losses[:6]
+
+
+class TestDensifyCap:
+    def test_cap_just_above_n(self):
+        """Every splat is a candidate, with room for three more: the three
+        hottest densify, one clone (+1) and two splits (+2 children, -parent)."""
+        cfg = config_from_dict({**CONFIG, "densify.start": 1, "densify.interval": 1,
+                                "densify.max_gaussians": 33})
+        state = initial_state(cfg)
+        assert state.scene.n == 30
+        state.scene.log_scales[:10] = np.log(0.001)     # small: clone
+        state.scene.log_scales[10:] = np.log(0.2)       # big: split
+        state.grad_accum[:] = 1.0
+        state.grad_accum[[5, 20, 25]] = [3.0, 4.0, 5.0]
+        state.grad_count[:] = 1.0
+        before = state.scene.positions.copy()
+        assert densify_and_prune(state, 1, cfg.densify(), cfg.render_settings().lod)
+        assert state.scene.n == 33
+        hits = (state.scene.positions[:, None] == before[None]).all(axis=2).sum(axis=0)
+        want = np.ones(30, dtype=int)
+        want[5], want[20], want[25] = 2, 0, 0
+        np.testing.assert_array_equal(hits, want)
+        # at the cap nothing densifies, but transparent splats still go
+        state.grad_accum[:] = 1.0
+        state.grad_count[:] = 1.0
+        state.scene.opacity_logits[0] = -10.0
+        assert densify_and_prune(state, 2, cfg.densify(), cfg.render_settings().lod)
+        assert state.scene.n == 32
 
 
 class TestCheckpoint:
