@@ -184,6 +184,13 @@ DOTTED_KEYS = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
+def _is_finite_number(value):
+    """JSON numbers only: bools are not numbers, and NaN and the infinities
+    that Python's JSON parser accepts are rejected."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
     cfg = base if base is not None else RunConfig()
     updates = {}
@@ -192,8 +199,9 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(f"unknown config key: {key!r}")
         attr = DOTTED_KEYS[key]
         if attr == "background":
-            if (not isinstance(value, (list, tuple)) or len(value) != 3):
-                raise ConfigError("render.background must be a 3-element list")
+            if (not isinstance(value, (list, tuple)) or len(value) != 3
+                    or not all(_is_finite_number(v) for v in value)):
+                raise ConfigError(f"{key} must be a list of 3 finite numbers, got {value!r}")
             updates[attr] = tuple(float(v) for v in value)
             continue
         current = getattr(cfg, attr)
@@ -201,13 +209,15 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
             if not isinstance(value, bool):
                 raise ConfigError(f"{key} expects a boolean, got {value!r}")
             updates[attr] = value
-        elif isinstance(current, int) and not isinstance(current, bool):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        elif isinstance(current, int):
+            if not _is_finite_number(value) or value != int(value):
                 raise ConfigError(f"{key} expects an integer, got {value!r}")
+            if attr == "tile" and value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value!r}")
             updates[attr] = int(value)
         elif isinstance(current, float):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key} expects a number, got {value!r}")
+            if not _is_finite_number(value):
+                raise ConfigError(f"{key} expects a finite number, got {value!r}")
             updates[attr] = float(value)
         elif isinstance(current, str):
             if not isinstance(value, str):

@@ -91,12 +91,6 @@ class NoiseSchedule:
         return w * base
 
 
-def noise_sigma(k, schedule: NoiseSchedule):
-    if k < 0:
-        raise InvalidInputError("iteration must be >= 0")
-    return schedule.sigma(k)
-
-
 # ---------------------------------------------------------------------------
 # predictor parameters
 # ---------------------------------------------------------------------------
@@ -298,21 +292,6 @@ def fine_offsets_backward(params: FieldParams, cache, d_offsets):
 # neighborhood aggregation
 # ---------------------------------------------------------------------------
 
-def knn_dynamic(positions, query, k):
-    """k nearest dynamic neighbors of positions[query], excluding the query
-    when possible. Returns indices into the dynamic-set positions array."""
-    positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    if n == 0:
-        raise InvalidInputError("dynamic set is empty")
-    if n == 1:
-        return np.array([query])
-    d2 = np.sum((positions - positions[query]) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")
-    order = order[order != query]
-    return order[:min(k, order.size)]
-
-
 def build_neighbor_table(positions, k):
     """(N, k') neighbor indices for every row of positions, self excluded.
 
@@ -343,7 +322,8 @@ def build_neighbor_table(positions, k):
 
 
 def coarse_offsets_batch(offsets, neighbor_table):
-    """Neighborhood means of (M,9) offsets under an (M,k) neighbor table."""
+    """Neighborhood means of (M,9) offsets under an (M,k) neighbor table; a
+    table with k = 0 keeps each row's own offsets."""
     if neighbor_table.shape[1] == 0:
         return offsets.copy()
     return offsets[neighbor_table].mean(axis=1)
@@ -358,17 +338,3 @@ def coarse_offsets_backward(neighbor_table, m, d_coarse):
     np.add.at(d_offsets, neighbor_table.reshape(-1),
               np.repeat(d_coarse / k, k, axis=0))
     return d_offsets
-
-
-def coarse_deform(idx, neighbors, offsets):
-    """Mean of the neighbors' offsets; falls back to the splat's own offsets
-    for an empty neighborhood."""
-    neighbors = np.asarray(neighbors, dtype=int)
-    if neighbors.size == 0:
-        return np.asarray(offsets[idx], dtype=float).copy()
-    return np.mean(np.asarray(offsets, dtype=float)[neighbors], axis=0)
-
-
-def compose_deformation(coarse, fine):
-    """Component-wise sum of the coarse and fine offset triples."""
-    return np.asarray(coarse, dtype=float) + np.asarray(fine, dtype=float)

@@ -1,14 +1,16 @@
 """Core Gaussian-splat algebra.
 
-Quaternion and SO(3) helpers, covariance assembly, pinhole projection with
-the local affine (EWA-style) approximation, and the front-to-back alpha
-blending rule. Everything is a pure function over numpy arrays and broadcasts
-over leading batch dimensions, so one code path serves a single primitive or
-a whole scene.
+Quaternion and SO(3) helpers, covariance assembly and its backward, the
+pinhole camera, and the projection with the local affine (EWA-style)
+approximation and its backward, which the renderer runs on every splat. The
+compositing constants live here so the renderer and its references agree.
+Everything is a pure function over numpy arrays: the SO(3) and covariance
+helpers broadcast over leading batch dimensions, and the projection takes
+(N, ...) rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,46 +220,22 @@ def covariance_from_matrix(R, scale):
     return M @ np.swapaxes(R, -1, -2)
 
 
-def cov_pack6(cov):
-    """Symmetric 3x3 -> unique entries (xx, yy, zz, xy, xz, yz)."""
-    cov = np.asarray(cov, dtype=float)
-    return np.stack([cov[..., 0, 0], cov[..., 1, 1], cov[..., 2, 2],
-                     cov[..., 0, 1], cov[..., 0, 2], cov[..., 1, 2]], axis=-1)
+def covariance_matrix_backward(R, scale, grad_cov):
+    """Backward of covariance_from_matrix: returns (d_R, d_scale)."""
+    G = _sym(grad_cov)
+    d_R = 2.0 * G @ (R * (scale**2)[..., None, :])
+    diag = np.einsum("nik,nij,njk->nk", R, G, R)
+    d_scale = 2.0 * scale * diag
+    return d_R, d_scale
 
 
-def cov_unpack6(packed):
-    packed = np.asarray(packed, dtype=float)
-    xx, yy, zz, xy, xz, yz = (packed[..., i] for i in range(6))
-    row0 = np.stack([xx, xy, xz], axis=-1)
-    row1 = np.stack([xy, yy, yz], axis=-1)
-    row2 = np.stack([xz, yz, zz], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+def _sym(m):
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 # ---------------------------------------------------------------------------
-# primitives and cameras
+# cameras
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Gaussian:
-    """One splat primitive in canonical space."""
-
-    position: np.ndarray
-    rotation: np.ndarray          # unit quaternion (w,x,y,z)
-    log_scale_opt: np.ndarray     # unconstrained; level floor maps it to scale
-    opacity_logit: float
-    color: np.ndarray             # rgb in [0,1]
-    level: int = 1
-    accumulated_importance: float = 0.0
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.rotation = quat_normalize(self.rotation)
-        self.log_scale_opt = np.asarray(self.log_scale_opt, dtype=float)
-        self.color = np.asarray(self.color, dtype=float)
-        if self.level < 1:
-            raise InvalidInputError("level must be >= 1")
-
 
 @dataclass(frozen=True)
 class Camera:
@@ -312,62 +290,76 @@ class Camera:
 # projection
 # ---------------------------------------------------------------------------
 
-def project_batch(cov3, positions, cam, dilation=COV2D_DILATION):
-    """Project world Gaussians into the image plane.
+def project(pos, cov3, cam: Camera, dilation=COV2D_DILATION):
+    """Project (N,3) world means and (N,3,3) covariances into the image.
 
-    Returns (mean2d, cov2d, depth, valid). Rows with valid == False are behind
-    the near plane; their numeric entries are placeholders and must be skipped.
     The projected covariance is M Sigma M^T + dilation*I with M the local
-    affine Jacobian of the pinhole map composed with the camera rotation.
+    affine Jacobian of the pinhole map composed with the camera rotation;
+    conic is its inverse as (a, b, c) = ([0,0], [0,1], [1,1]). Rows with
+    valid == False lie in front of the near plane: their entries are
+    placeholders that must not be drawn, and project_backward gives them
+    zero gradient. Returns the dict project_backward takes.
     """
-    cov3 = np.asarray(cov3, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    p_cam = positions @ cam.rotation.T + cam.translation
+    p_cam = pos @ cam.rotation.T + cam.translation
     x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
     valid = z >= cam.near
     zs = np.where(valid, z, 1.0)
     inv_z = 1.0 / zs
     inv_z2 = inv_z * inv_z
-    n = positions.shape[0]
+    n = pos.shape[0]
     J = np.zeros((n, 2, 3))
     J[:, 0, 0] = cam.fx * inv_z
     J[:, 0, 2] = -cam.fx * x * inv_z2
     J[:, 1, 1] = cam.fy * inv_z
     J[:, 1, 2] = -cam.fy * y * inv_z2
     M = J @ cam.rotation
-    cov2d = M @ cov3 @ np.swapaxes(M, -1, -2)
-    cov2d = 0.5 * (cov2d + np.swapaxes(cov2d, -1, -2))
+    cov2d = _sym(M @ cov3 @ np.swapaxes(M, -1, -2))
     cov2d[:, 0, 0] += dilation
     cov2d[:, 1, 1] += dilation
     mean2d = np.stack([cam.fx * x * inv_z + cam.cx, cam.fy * y * inv_z + cam.cy], axis=-1)
-    return mean2d, cov2d, z, valid
+    det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
+    conic = np.stack([cov2d[:, 1, 1] / det, -cov2d[:, 0, 1] / det,
+                      cov2d[:, 0, 0] / det], axis=-1)
+    return {"p_cam": p_cam, "valid": valid, "J": J, "M": M, "cov2d": cov2d,
+            "mean2d": mean2d, "conic": conic, "depth": z, "cov3": cov3}
 
 
-def project_gaussian(cov3, position, cam):
-    """Project one Gaussian; returns (mean2d, cov2d) or None when culled."""
-    require_finite("project_gaussian", cov3, position)
-    mean2d, cov2d, _, valid = project_batch(
-        np.asarray(cov3, dtype=float)[None], np.asarray(position, dtype=float)[None], cam)
-    if not valid[0]:
-        return None
-    return mean2d[0], cov2d[0]
+def project_backward(proj, cam: Camera, d_mean2d, d_conic):
+    """Backward of project from the gradients of mean2d and conic; returns
+    (d_pos, d_cov3)."""
+    valid = proj["valid"]
+    M = proj["M"]
+    n = M.shape[0]
+    # conic = inverse of cov2d; off-diagonal gradient splits across the two
+    # symmetric entries
+    Gl = np.empty((n, 2, 2))
+    Gl[:, 0, 0] = d_conic[:, 0]
+    Gl[:, 0, 1] = Gl[:, 1, 0] = 0.5 * d_conic[:, 1]
+    Gl[:, 1, 1] = d_conic[:, 2]
+    lam = np.empty((n, 2, 2))
+    lam[:, 0, 0] = proj["conic"][:, 0]
+    lam[:, 0, 1] = lam[:, 1, 0] = proj["conic"][:, 1]
+    lam[:, 1, 1] = proj["conic"][:, 2]
+    d_cov2d = -lam @ Gl @ lam
+    G2 = _sym(d_cov2d)
+    d_cov3 = np.swapaxes(M, -1, -2) @ G2 @ M
+    d_M = 2.0 * G2 @ M @ proj["cov3"]
+    d_J = d_M @ cam.rotation.T
 
-
-# ---------------------------------------------------------------------------
-# compositing
-# ---------------------------------------------------------------------------
-
-def alpha_blend(splats, background=(0.0, 0.0, 0.0)):
-    """Front-to-back composite of depth-sorted (color, alpha) pairs.
-
-    Blending stops once accumulated transmittance drops below the cutoff; the
-    remaining transmittance always carries the background.
-    """
-    color = np.zeros(3)
-    transmittance = 1.0
-    for c, a in splats:
-        if transmittance < TRANSMITTANCE_CUTOFF:
-            break
-        color = color + transmittance * a * np.asarray(c, dtype=float)
-        transmittance = transmittance * (1.0 - a)
-    return color + transmittance * np.asarray(background, dtype=float)
+    x, y, z = proj["p_cam"][:, 0], proj["p_cam"][:, 1], proj["p_cam"][:, 2]
+    zs = np.where(valid, z, 1.0)
+    inv_z = 1.0 / zs
+    inv_z2 = inv_z * inv_z
+    inv_z3 = inv_z2 * inv_z
+    d_x = d_J[:, 0, 2] * (-cam.fx * inv_z2) + d_mean2d[:, 0] * cam.fx * inv_z
+    d_y = d_J[:, 1, 2] * (-cam.fy * inv_z2) + d_mean2d[:, 1] * cam.fy * inv_z
+    d_z = (d_J[:, 0, 0] * (-cam.fx * inv_z2) + d_J[:, 1, 1] * (-cam.fy * inv_z2)
+           + d_J[:, 0, 2] * (2.0 * cam.fx * x * inv_z3)
+           + d_J[:, 1, 2] * (2.0 * cam.fy * y * inv_z3)
+           + d_mean2d[:, 0] * (-cam.fx * x * inv_z2)
+           + d_mean2d[:, 1] * (-cam.fy * y * inv_z2))
+    d_pcam = np.stack([d_x, d_y, d_z], axis=-1)
+    d_pcam[~valid] = 0.0
+    d_cov3[~valid] = 0.0
+    d_pos = d_pcam @ cam.rotation
+    return d_pos, d_cov3

@@ -1,26 +1,19 @@
-"""Motion-aligned basis construction and covariance refinement.
+"""Motion-aligned frames and covariance refinement, batched over the refined
+rows, each with its analytic backward.
 
 A dynamic splat's instantaneous velocity defines a right-handed orthonormal
-frame with one axis along the motion. The predicted covariance is measured in
-that frame, elongated along the motion axis in proportion to the displacement
-over the frame interval (gated by how well the predicted orientation agrees
-with the velocity), recombined with learnable log-scale and rotation
-residuals, and reassembled into a guaranteed-SPD covariance.
+frame with one axis along the motion (`kinematic_frames_cached`). `refine`
+measures the predicted covariance in that frame, elongates it along the
+motion axis in proportion to the displacement over the exposure (gated by
+how well the predicted orientation agrees with the velocity), recombines it
+with the learnable log-scale and rotation residuals, and reassembles an SPD
+covariance. The renderer refines only rows at or above the velocity floor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gaussians import (
-    InvalidInputError,
-    NumericalError,
-    exp_map_so3,
-    require_finite,
-    rotmat_to_quat,
-    sigmoid,
-)
+from .gaussians import covariance_from_matrix, covariance_matrix_backward, sigmoid
 
 # Division guard in the basis construction. Directions are renormalized
 # exactly afterwards, so the guard only prevents 0/0 for vanishing input.
@@ -35,86 +28,14 @@ DEFAULT_KAPPA = -2.1972
 # Weight of the log-space scale residual.
 DEFAULT_LAMBDA_S = 0.1
 
-_FALLBACK_AXIS = np.array([0.0, 0.0, 1.0])
 _REF_X = np.array([1.0, 0.0, 0.0])
 _REF_Y = np.array([0.0, 1.0, 0.0])
 
 
-@dataclass(frozen=True)
-class KinematicBasis:
-    """Right-handed orthonormal frame with u_z along the velocity."""
-
-    u_x: np.ndarray
-    u_y: np.ndarray
-    u_z: np.ndarray
-
-    @property
-    def matrix(self):
-        return np.stack([self.u_x, self.u_y, self.u_z], axis=-1)
-
-
-@dataclass
-class RefinementInputs:
-    """Inputs to one covariance refinement."""
-
-    cov: np.ndarray           # predicted covariance, SPD (3,3)
-    velocity: np.ndarray      # world units per time unit
-    dt: float                 # frame interval
-    d_scale: np.ndarray       # log-scale residual (3,)
-    d_rot: np.ndarray         # axis-angle rotation residual (3,)
-    r_z: np.ndarray           # unit principal axis of the predicted rotation
-    kappa: float = DEFAULT_KAPPA
-
-    def validate(self):
-        if self.dt <= 0:
-            raise InvalidInputError("dt must be > 0")
-        require_finite("refinement inputs", self.cov, self.velocity,
-                       self.d_scale, self.d_rot, self.r_z)
-        if abs(np.linalg.norm(self.r_z) - 1.0) > 1e-6:
-            raise InvalidInputError("r_z must be unit norm")
-
-
-@dataclass(frozen=True)
-class RefinedShape:
-    """Refined covariance with its rotation/scale factorization."""
-
-    cov: np.ndarray          # (3,3) SPD
-    rotation: np.ndarray     # (3,3)
-    scale_diag: np.ndarray   # (3,) positive
-
-
-def kinematic_frames(velocity):
-    """Batched motion-aligned frames; (..., 3) velocities -> (..., 3, 3).
-
-    Columns are (u_x, u_y, u_z). Near-zero velocities fall back to the +z
-    axis so the result is always a well-formed frame, but callers must not
-    refine below VELOCITY_FLOOR.
-    """
-    v = np.asarray(velocity, dtype=float)
-    require_finite("velocity", v)
-    speed = np.linalg.norm(v, axis=-1)
-    v = np.where((speed < VELOCITY_FLOOR)[..., None], _FALLBACK_AXIS, v)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    u_z = v / (n + BASIS_EPS)
-    u_z = u_z / np.linalg.norm(u_z, axis=-1, keepdims=True)
-    use_alt = np.abs(u_z[..., 0]) > COLINEAR_LIMIT
-    r_ref = np.where(use_alt[..., None], _REF_Y, _REF_X)
-    w = np.cross(u_z, r_ref)
-    m = np.linalg.norm(w, axis=-1, keepdims=True)
-    u_x = w / (m + BASIS_EPS)
-    u_x = u_x / np.linalg.norm(u_x, axis=-1, keepdims=True)
-    u_y = np.cross(u_z, u_x)
-    return np.stack([u_x, u_y, u_z], axis=-1)
-
-
-def kinematic_basis(velocity) -> KinematicBasis:
-    """Motion-aligned frame for a single velocity vector."""
-    frame = kinematic_frames(np.asarray(velocity, dtype=float))
-    return KinematicBasis(u_x=frame[..., 0], u_y=frame[..., 1], u_z=frame[..., 2])
-
-
 def kinematic_frames_cached(velocity):
-    """kinematic_frames plus the intermediates its backward needs.
+    """Motion-aligned frames, (..., 3) velocities -> (..., 3, 3) with columns
+    (u_x, u_y, u_z) and u_z along the velocity; plus the intermediates the
+    backward needs.
 
     All rows must be above VELOCITY_FLOOR (the renderer gates on that before
     refining). Returns (frames, cache).
@@ -156,61 +77,62 @@ def kinematic_frames_backward(cache, d_frames, d_speed=None):
     return d_v
 
 
-def project_variances(cov, basis):
-    """Variances of an SPD covariance along a frame's axes: u_k^T Sigma u_k."""
-    U = basis.matrix if isinstance(basis, KinematicBasis) else np.asarray(basis, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    return np.einsum("...ik,...ij,...jk->...k", U, cov, U)
+def refine(U, cov_p, r_z, E, speed, d_scale, blur_dt, kappa, lambda_s):
+    """Refine (N,3,3) predicted covariances cov_p in their motion frames U.
 
-
-def alignment_factor(r_z, u_z, kappa=DEFAULT_KAPPA):
-    """Gate in [sigmoid(kappa), 1]: agreement of the predicted principal axis
-    with the motion direction, floored for stability under noisy estimates."""
-    dot = np.sum(np.asarray(r_z, dtype=float) * np.asarray(u_z, dtype=float), axis=-1)
-    return np.maximum(np.abs(dot), sigmoid(kappa))
-
-
-def blur_scales(sigmas, velocity, dt, eta):
-    """Axis-aligned scales with the motion axis elongated by eta*|v|*dt."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    speed = np.linalg.norm(np.asarray(velocity, dtype=float), axis=-1)
-    out = sigmas.copy()
-    out[..., 2] = out[..., 2] + eta * speed * dt
-    return out
-
-
-def refine_covariance(inputs: RefinementInputs, lambda_s=DEFAULT_LAMBDA_S) -> RefinedShape:
-    """Refine one covariance against its velocity.
-
-    Callers must skip this below VELOCITY_FLOOR and render the unrefined
-    covariance instead.
+    r_z is the predicted rotation's principal axis, E the rotation residual
+    (exp of the predicted d_rot), speed |v| and d_scale the log-scale
+    residual, per row. Each frame's variances give per-axis scales; the
+    motion axis grows by eta * speed * blur_dt with the alignment gate
+    eta = max(|r_z . u_z|, sigmoid(kappa)). Returns the refined covariance
+    (U E) diag(S)^2 (U E)^T, its scales S = exp(log s' + lambda_s d_scale),
+    and the cache of refine_backward.
     """
-    inputs.validate()
-    frame = kinematic_frames(inputs.velocity)
-    variances = project_variances(inputs.cov, frame)
-    if np.any(variances <= 0):
-        raise NumericalError("projected variances not positive")
-    sigmas = np.sqrt(variances)
-    eta = alignment_factor(inputs.r_z, frame[..., 2], inputs.kappa)
-    s_prime = blur_scales(sigmas, inputs.velocity, inputs.dt, eta)
-    ell = np.log(s_prime) + lambda_s * np.asarray(inputs.d_scale, dtype=float)
-    if not np.all(np.isfinite(ell)):
-        raise NumericalError("log-scale residual produced non-finite values")
-    scale_diag = np.exp(ell)
-    rotation = frame @ exp_map_so3(inputs.d_rot)
-    cov = (rotation * scale_diag[..., None, :] ** 2) @ np.swapaxes(rotation, -1, -2)
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    if not np.all(np.isfinite(cov)):
-        raise NumericalError("refined covariance non-finite")
-    return RefinedShape(cov=cov, rotation=rotation, scale_diag=scale_diag)
+    variances = np.einsum("nik,nij,njk->nk", U, cov_p, U)
+    sig = np.sqrt(variances)
+    u_z = U[:, :, 2]
+    dot = np.sum(r_z * u_z, axis=1)
+    gate_floor = sigmoid(kappa)
+    eta = np.maximum(np.abs(dot), gate_floor)
+    gate_open = np.abs(dot) > gate_floor
+    blur_len = eta * speed * blur_dt
+    s_prime = sig.copy()
+    s_prime[:, 2] += blur_len
+    ell = np.log(s_prime) + lambda_s * d_scale
+    S_diag = np.exp(ell)
+    R_kin = U @ E
+    cov = covariance_from_matrix(R_kin, S_diag)
+    cache = {"U": U, "cov_p": cov_p, "r_z": r_z, "E": E, "speed": speed,
+             "blur_dt": blur_dt, "lambda_s": lambda_s, "sig": sig, "dot": dot,
+             "eta": eta, "gate_open": gate_open, "s_prime": s_prime,
+             "S_diag": S_diag, "R_kin": R_kin}
+    return cov, S_diag, cache
 
 
-def refined_rotation_quaternion(R):
-    """Unit quaternion (w >= 0) for an orthonormal rotation matrix."""
-    R = np.asarray(R, dtype=float)
-    require_finite("rotation matrix", R)
-    if np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3))) > 1e-5:
-        raise InvalidInputError("matrix is not orthonormal")
-    if np.any(np.linalg.det(R) < 0):
-        raise InvalidInputError("matrix has negative determinant")
-    return rotmat_to_quat(R)
+def refine_backward(cache, d_cov, d_scales=None):
+    """Backward of refine from the gradients of its covariance and, when
+    given, of its scales. Returns (d_cov_p, d_U, d_r_z, d_E, d_speed,
+    d_d_scale); the gate has zero subgradient on its floor."""
+    U, E, S_diag = cache["U"], cache["E"], cache["S_diag"]
+    blur_dt = cache["blur_dt"]
+    d_Rkin, d_ell_from_cov = covariance_matrix_backward(cache["R_kin"], S_diag, d_cov)
+    # d/d ell of exp(ell): one more factor of S_diag
+    d_ell = d_ell_from_cov * S_diag
+    if d_scales is not None:
+        d_ell += d_scales * S_diag
+    d_d_scale = cache["lambda_s"] * d_ell
+    d_sig = d_ell / cache["s_prime"]    # s' = sig, plus the blur on axis z
+    d_blur = d_sig[:, 2]
+    d_eta = d_blur * cache["speed"] * blur_dt
+    d_speed = d_blur * cache["eta"] * blur_dt
+    # eta = max(|dot|, floor): zero subgradient on the floor branch
+    d_dot = np.where(cache["gate_open"], np.sign(cache["dot"]) * d_eta, 0.0)
+    d_r_z = d_dot[:, None] * U[:, :, 2]
+    d_uz_eta = d_dot[:, None] * cache["r_z"]
+    d_vars = d_sig / (2.0 * cache["sig"])
+    d_cov_p = np.einsum("nk,nik,njk->nij", d_vars, U, U)
+    d_U = 2.0 * np.einsum("nk,nij,njk->nik", d_vars, cache["cov_p"], U)
+    d_U += d_Rkin @ np.swapaxes(E, -1, -2)
+    d_E = np.swapaxes(U, -1, -2) @ d_Rkin
+    d_U[:, :, 2] += d_uz_eta
+    return d_cov_p, d_U, d_r_z, d_E, d_speed, d_d_scale

@@ -52,9 +52,12 @@ from .gaussians import (
     InvalidInputError,
     NumericalError,
     covariance_from_matrix,
+    covariance_matrix_backward,
     dexp_map_so3,
     drotmat_dquat,
     exp_map_so3,
+    project,
+    project_backward,
     quat_normalize,
     quat_to_rotmat,
     sigmoid,
@@ -65,6 +68,8 @@ from .kinematics import (
     VELOCITY_FLOOR,
     kinematic_frames_backward,
     kinematic_frames_cached,
+    refine,
+    refine_backward,
 )
 from .lod import LodConfig, min_scale_per_gaussian
 
@@ -227,30 +232,12 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
 
     cov_render = cov_pred.copy()
     scales_render = s_pred.copy()
-    refine_cache = None
+    basis_cache = refine_cache = None
     if ridx.size:
         U, basis_cache = kinematic_frames_cached(v[ridx])
-        cov_p = cov_pred[ridx]
-        variances = np.einsum("nik,nij,njk->nk", U, cov_p, U)
-        sig = np.sqrt(variances)
-        r_z = R_pred[ridx][:, :, 2]
-        u_z = U[:, :, 2]
-        dot = np.sum(r_z * u_z, axis=1)
-        gate_floor = sigmoid(s.kappa)
-        eta = np.maximum(np.abs(dot), gate_floor)
-        gate_open = np.abs(dot) > gate_floor
-        blur_len = eta * speed[ridx] * blur_dt
-        s_prime = sig.copy()
-        s_prime[:, 2] += blur_len
-        ell = np.log(s_prime) + s.lambda_s * ds_r[ridx]
-        S_diag = np.exp(ell)
-        R_kin = U @ E[ridx]
-        cov_render[ridx] = covariance_from_matrix(R_kin, S_diag)
-        scales_render[ridx] = S_diag
-        refine_cache = {"U": U, "basis": basis_cache, "variances": variances,
-                        "sig": sig, "dot": dot, "eta": eta, "gate_open": gate_open,
-                        "blur_len": blur_len, "s_prime": s_prime, "S_diag": S_diag,
-                        "R_kin": R_kin, "cov_p": cov_p}
+        cov_render[ridx], scales_render[ridx], refine_cache = refine(
+            U, cov_pred[ridx], R_pred[ridx, :, 2], E[ridx], speed[ridx],
+            ds_r[ridx], blur_dt, s.kappa, s.lambda_s)
 
     bad = ~np.isfinite(cov_render.reshape(n, -1)).all(axis=1) | ~np.isfinite(pos_t).all(axis=1)
     if bad.any():
@@ -264,24 +251,11 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             "pred_cache": pred_cache, "fine_cache": fine_cache, "table": neighbor_table,
             "offsets": offsets, "pos_t": pos_t, "E": E, "R_q": R_q,
             "R_pred": R_pred, "exp_term": exp_term, "s_pred": s_pred,
-            "cov_pred": cov_pred, "v": v, "speed": speed, "refined": refined,
-            "ridx": ridx, "refine": refine_cache, "cov_render": cov_render,
-            "scales_render": scales_render, "colors_c": colors_c,
-            "color_mask": color_mask, "opac": opac, "dt": dt, "blur_dt": blur_dt,
+            "cov_pred": cov_pred, "v": v, "refined": refined,
+            "ridx": ridx, "basis": basis_cache, "refine": refine_cache,
+            "cov_render": cov_render, "scales_render": scales_render, "colors_c": colors_c,
+            "color_mask": color_mask, "opac": opac, "dt": dt,
             "quats_raw": scene.quaternions.copy(), "cf_active": bool(s.coarse_fine and dyn_idx.size)}
-
-
-def _sym(m):
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
-
-
-def _cov_matrix_backward(R, scale, grad_cov):
-    """Backward of covariance_from_matrix: returns (d_R, d_scale)."""
-    G = _sym(grad_cov)
-    d_R = 2.0 * G @ (R * (scale**2)[..., None, :])
-    diag = np.einsum("nik,nij,njk->nk", R, G, R)
-    d_scale = 2.0 * scale * diag
-    return d_R, d_scale
 
 
 def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
@@ -305,42 +279,18 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
     if d_scales_extra is not None:
         d_s_pred += np.where(refined[:, None], 0.0, d_scales_extra)
 
-    rc = pose["refine"]
     if ridx.size:
-        U = rc["U"]
-        S_diag = rc["S_diag"]
-        R_kin = rc["R_kin"]
-        G_kin = d_cov3[ridx]
-        d_Rkin, d_ell_from_cov = _cov_matrix_backward(R_kin, S_diag, G_kin)
-        # d/d ell of exp(ell): one more factor of S_diag
-        d_ell = d_ell_from_cov * S_diag
-        if d_scales_extra is not None:
-            d_ell += d_scales_extra[ridx] * S_diag
-        d_ds_render[ridx] += s.lambda_s * d_ell
-        d_sprime = d_ell / rc["s_prime"]
-        d_sig = d_sprime.copy()
-        d_blur = d_sprime[:, 2]
-        d_eta = d_blur * pose["speed"][ridx] * pose["blur_dt"]
-        d_speed_r = d_blur * rc["eta"] * pose["blur_dt"]
-        # eta = max(|dot|, floor): zero subgradient on the floor branch
-        d_dot = np.where(rc["gate_open"], np.sign(rc["dot"]) * d_eta, 0.0)
-        u_z = U[:, :, 2]
-        r_z = pose["R_pred"][ridx][:, :, 2]
-        d_rz = d_dot[:, None] * u_z
-        d_uz_eta = d_dot[:, None] * r_z
-        d_vars = d_sig / (2.0 * rc["sig"])
-        d_cov_pred[ridx] += np.einsum("nk,nik,njk->nij", d_vars, U, U)
-        d_U = 2.0 * np.einsum("nk,nij,njk->nik", d_vars, rc["cov_p"], U)
-        d_U += d_Rkin @ np.swapaxes(E[ridx], -1, -2)
-        d_E[ridx] += np.swapaxes(U, -1, -2) @ d_Rkin
-        d_U[:, :, 2] += d_uz_eta
-        d_v[ridx] = kinematic_frames_backward(rc["basis"], d_U, d_speed_r)
-        d_Rpred_r = np.zeros((ridx.size, 3, 3))
-        d_Rpred_r[:, :, 2] = d_rz
-        d_Rpred[ridx] += d_Rpred_r
+        extra = None if d_scales_extra is None else d_scales_extra[ridx]
+        d_cov_p, d_U, d_r_z, d_E_r, d_speed, d_ds = refine_backward(
+            pose["refine"], d_cov3[ridx], extra)
+        d_cov_pred[ridx] += d_cov_p
+        d_Rpred[ridx, :, 2] += d_r_z
+        d_E[ridx] += d_E_r
+        d_ds_render[ridx] += d_ds
+        d_v[ridx] = kinematic_frames_backward(pose["basis"], d_U, d_speed)
 
     # predicted (pre-refinement) covariance for every row
-    d_Rp, d_sp = _cov_matrix_backward(pose["R_pred"], pose["s_pred"], d_cov_pred)
+    d_Rp, d_sp = covariance_matrix_backward(pose["R_pred"], pose["s_pred"], d_cov_pred)
     d_Rpred += d_Rp
     d_s_pred += d_sp
     d_exp = d_s_pred * pose["exp_term"]
@@ -398,75 +348,6 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
     return {"positions": d_positions, "quaternions": d_quats,
             "log_scales": d_log_scales, "w1": d_w1, "b1": d_b1, "w2": d_w2,
             "b2": d_b2, "fine": grads_fine, "features": d_features}
-
-
-# ---------------------------------------------------------------------------
-# projection stage
-# ---------------------------------------------------------------------------
-
-def _project_forward(pos_t, cov3, cam: Camera, dilation):
-    p_cam = pos_t @ cam.rotation.T + cam.translation
-    x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
-    valid = z >= cam.near
-    zs = np.where(valid, z, 1.0)
-    inv_z = 1.0 / zs
-    inv_z2 = inv_z * inv_z
-    n = pos_t.shape[0]
-    J = np.zeros((n, 2, 3))
-    J[:, 0, 0] = cam.fx * inv_z
-    J[:, 0, 2] = -cam.fx * x * inv_z2
-    J[:, 1, 1] = cam.fy * inv_z
-    J[:, 1, 2] = -cam.fy * y * inv_z2
-    M = J @ cam.rotation
-    cov2d = _sym(M @ cov3 @ np.swapaxes(M, -1, -2))
-    cov2d[:, 0, 0] += dilation
-    cov2d[:, 1, 1] += dilation
-    mean2d = np.stack([cam.fx * x * inv_z + cam.cx, cam.fy * y * inv_z + cam.cy], axis=-1)
-    det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
-    conic = np.stack([cov2d[:, 1, 1] / det, -cov2d[:, 0, 1] / det,
-                      cov2d[:, 0, 0] / det], axis=-1)
-    return {"p_cam": p_cam, "valid": valid, "J": J, "M": M, "cov2d": cov2d,
-            "mean2d": mean2d, "conic": conic, "depth": z, "cov3": cov3}
-
-
-def _project_backward(proj, cam: Camera, d_mean2d, d_conic):
-    valid = proj["valid"]
-    M = proj["M"]
-    cov2d = proj["cov2d"]
-    n = M.shape[0]
-    # conic = inverse of cov2d; off-diagonal gradient splits across the two
-    # symmetric entries
-    Gl = np.empty((n, 2, 2))
-    Gl[:, 0, 0] = d_conic[:, 0]
-    Gl[:, 0, 1] = Gl[:, 1, 0] = 0.5 * d_conic[:, 1]
-    Gl[:, 1, 1] = d_conic[:, 2]
-    lam = np.empty((n, 2, 2))
-    lam[:, 0, 0] = proj["conic"][:, 0]
-    lam[:, 0, 1] = lam[:, 1, 0] = proj["conic"][:, 1]
-    lam[:, 1, 1] = proj["conic"][:, 2]
-    d_cov2d = -lam @ Gl @ lam
-    G2 = _sym(d_cov2d)
-    d_cov3 = np.swapaxes(M, -1, -2) @ G2 @ M
-    d_M = 2.0 * G2 @ M @ proj["cov3"]
-    d_J = d_M @ cam.rotation.T
-
-    x, y, z = proj["p_cam"][:, 0], proj["p_cam"][:, 1], proj["p_cam"][:, 2]
-    zs = np.where(valid, z, 1.0)
-    inv_z = 1.0 / zs
-    inv_z2 = inv_z * inv_z
-    inv_z3 = inv_z2 * inv_z
-    d_x = d_J[:, 0, 2] * (-cam.fx * inv_z2) + d_mean2d[:, 0] * cam.fx * inv_z
-    d_y = d_J[:, 1, 2] * (-cam.fy * inv_z2) + d_mean2d[:, 1] * cam.fy * inv_z
-    d_z = (d_J[:, 0, 0] * (-cam.fx * inv_z2) + d_J[:, 1, 1] * (-cam.fy * inv_z2)
-           + d_J[:, 0, 2] * (2.0 * cam.fx * x * inv_z3)
-           + d_J[:, 1, 2] * (2.0 * cam.fy * y * inv_z3)
-           + d_mean2d[:, 0] * (-cam.fx * x * inv_z2)
-           + d_mean2d[:, 1] * (-cam.fy * y * inv_z2))
-    d_pcam = np.stack([d_x, d_y, d_z], axis=-1)
-    d_pcam[~valid] = 0.0
-    d_cov3[~valid] = 0.0
-    d_pos = d_pcam @ cam.rotation
-    return d_pos, d_cov3
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +563,7 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     sigma = noise_sigma if train else 0.0
     pose = _pose_forward(scene, partition, fieldp, neighbor_table, t, dt,
                          blur_dt, sigma, rng, settings)
-    proj = _project_forward(pose["pos_t"], pose["cov_render"], cam, settings.dilation)
+    proj = project(pose["pos_t"], pose["cov_render"], cam, settings.dilation)
     tiles, touched = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                                 proj["valid"], cam.width, cam.height, settings.tile)
     image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,
@@ -715,7 +596,7 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
     position offsets (regularizer) and the rendered scales (anisotropy term).
     """
     d_mean2d, d_conic, d_opac, d_colors = _raster_backward(tape, d_image)
-    d_pos_t, d_cov3 = _project_backward(tape.proj, tape.cam, d_mean2d, d_conic)
+    d_pos_t, d_cov3 = project_backward(tape.proj, tape.cam, d_mean2d, d_conic)
     pose = tape.pose
     out = _pose_backward(pose, tape.settings, fieldp, d_pos_t, d_cov3,
                          d_dx_extra=d_dx_extra, d_scales_extra=d_scales_extra)
@@ -741,7 +622,7 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
 def render_points(positions, cov3, colors, opacities, cam: Camera,
                   settings: RenderSettings) -> RenderedFrame:
     """Rasterize bare world-space Gaussians (no deformation, no refinement)."""
-    proj = _project_forward(np.asarray(positions, dtype=float),
+    proj = project(np.asarray(positions, dtype=float),
                             np.asarray(cov3, dtype=float), cam, settings.dilation)
     tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                           proj["valid"], cam.width, cam.height, settings.tile)
@@ -757,7 +638,7 @@ def render_points_naive(positions, cov3, colors, opacities, cam: Camera,
                         settings: RenderSettings) -> RenderedFrame:
     """Per-pixel reference compositor; same footprint and cutoff semantics as
     the tiled path, used to pin its correctness."""
-    proj = _project_forward(np.asarray(positions, dtype=float),
+    proj = project(np.asarray(positions, dtype=float),
                             np.asarray(cov3, dtype=float), cam, settings.dilation)
     order = np.argsort(proj["depth"], kind="stable")
     order = order[proj["valid"][order]]

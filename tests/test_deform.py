@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kgs.deform import (
     NoiseSchedule,
@@ -9,17 +7,13 @@ from kgs.deform import (
     build_neighbor_table,
     clamp_offsets,
     clamp_offsets_backward,
-    coarse_deform,
     coarse_offsets_backward,
     coarse_offsets_batch,
-    compose_deformation,
     encode_coords,
     encode_coords_backward,
     fine_offsets_backward,
     fine_offsets_batch,
     init_field_params,
-    knn_dynamic,
-    noise_sigma,
     positional_encoding,
     predict_offsets_backward,
     predict_offsets_batch,
@@ -84,14 +78,14 @@ class TestNoiseSchedule:
                           w_delay=0.3, k_delay=100)
 
     def test_endpoint(self):
-        assert noise_sigma(1000, self.SCHED) == pytest.approx(0.01)
-        assert noise_sigma(5000, self.SCHED) == pytest.approx(0.01)
+        assert self.SCHED.sigma(1000) == pytest.approx(0.01)
+        assert self.SCHED.sigma(5000) == pytest.approx(0.01)
 
     def test_warmup_start(self):
-        assert noise_sigma(0, self.SCHED) == pytest.approx(0.3 * 0.2)
+        assert self.SCHED.sigma(0) == pytest.approx(0.3 * 0.2)
 
     def test_monotone_after_warmup(self):
-        vals = [noise_sigma(k, self.SCHED) for k in range(100, 1100, 7)]
+        vals = [self.SCHED.sigma(k) for k in range(100, 1100, 7)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_no_warmup_variant(self):
@@ -232,21 +226,22 @@ class TestCoarseAggregation:
         offsets = np.zeros((3, 9))
         offsets[1, 0:3] = [1.0, 0, 0]
         offsets[2, 0:3] = [-1.0, 0, 0]
-        out = coarse_deform(0, np.array([1, 2]), offsets)
-        np.testing.assert_allclose(out, 0.0, atol=0)
+        table = np.array([[1, 2], [0, 2], [0, 1]])
+        np.testing.assert_allclose(coarse_offsets_batch(offsets, table)[0], 0.0, atol=0)
 
     def test_mean_of_three(self):
         offsets = np.zeros((4, 9))
         offsets[1, 0:3] = [1, 0, 0]
         offsets[2, 0:3] = [0, 1, 0]
         offsets[3, 0:3] = [0, 0, 1]
-        out = coarse_deform(0, np.array([1, 2, 3]), offsets)
-        np.testing.assert_allclose(out[0:3], [1 / 3] * 3, atol=1e-15)
+        table = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        out = coarse_offsets_batch(offsets, table)
+        np.testing.assert_allclose(out[0, 0:3], [1 / 3] * 3, atol=1e-15)
 
     def test_empty_neighborhood_falls_back_to_own(self):
         offsets = np.arange(18.0).reshape(2, 9)
-        np.testing.assert_allclose(coarse_deform(1, np.array([], dtype=int), offsets),
-                                   offsets[1], atol=0)
+        table = np.zeros((2, 0), dtype=int)
+        np.testing.assert_array_equal(coarse_offsets_batch(offsets, table), offsets)
 
     def test_backward_scatter(self):
         rng = np.random.default_rng(10)
@@ -264,35 +259,14 @@ class TestCoarseAggregation:
             assert abs(grad[idx] - fd) < 1e-6
 
 
-class TestCompose:
-    def test_identity_cases(self):
-        c = np.arange(9.0)
-        np.testing.assert_allclose(compose_deformation(c, np.zeros(9)), c, atol=0)
-        np.testing.assert_allclose(compose_deformation(np.zeros(9), c), c, atol=0)
-
-    def test_sum(self):
-        a = np.zeros(9)
-        a[0:3] = [1, 1, 1]
-        b = np.zeros(9)
-        b[0:3] = [-1, 0, 0]
-        np.testing.assert_allclose(compose_deformation(a, b)[0:3], [0, 1, 1], atol=0)
-
-    @given(st.lists(st.floats(-10, 10), min_size=9, max_size=9),
-           st.lists(st.floats(-10, 10), min_size=9, max_size=9))
-    @settings(max_examples=100, deadline=None)
-    def test_commutative(self, a, b):
-        a, b = np.array(a), np.array(b)
-        np.testing.assert_array_equal(compose_deformation(a, b), compose_deformation(b, a))
-
-
 class TestKnn:
     def test_colinear_line(self):
         pos = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        np.testing.assert_array_equal(np.sort(knn_dynamic(pos, 0, 2)), [1, 2])
+        np.testing.assert_array_equal(np.sort(build_neighbor_table(pos, 2)[0]), [1, 2])
 
     def test_saturation(self):
         pos = np.random.default_rng(0).normal(size=(4, 3))
-        assert set(knn_dynamic(pos, 1, 10)) == {0, 2, 3}
+        assert set(build_neighbor_table(pos, 10)[1]) == {0, 2, 3}
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -302,4 +276,3 @@ class TestKnn:
             d2 = np.sum((pos - pos[q]) ** 2, axis=1)
             order = [i for i in np.argsort(d2, kind="stable") if i != q][:8]
             assert set(table[q]) == set(order)
-            np.testing.assert_array_equal(np.sort(knn_dynamic(pos, int(q), 8)), np.sort(order))

@@ -4,23 +4,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgs.gaussians import (
+    ALPHA_MAX,
     COV2D_DILATION,
     Camera,
     InvalidInputError,
-    alpha_blend,
     covariance_from_rs,
-    cov_pack6,
-    cov_unpack6,
     dexp_map_so3,
     exp_map_so3,
-    project_batch,
-    project_gaussian,
+    project,
+    project_backward,
     quat_normalize,
     quat_to_rotmat,
     rotmat_to_quat,
 )
+from kgs.renderer import RenderSettings, _tile_forward
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def project_gaussian(cov3, position, cam):
+    """Project one Gaussian; (mean2d, cov2d), or None in front of the near
+    plane."""
+    proj = project(np.asarray(position, dtype=float)[None],
+                   np.asarray(cov3, dtype=float)[None], cam)
+    return (proj["mean2d"][0], proj["cov2d"][0]) if proj["valid"][0] else None
+
+
+def alpha_blend(splats, background=(0.0, 0.0, 0.0)):
+    """The renderer's front-to-back compositing of depth-sorted (color,
+    alpha) pairs at one pixel: each splat is centred on the pixel, so its
+    footprint is 1 and its alpha is its opacity."""
+    n = len(splats)
+    colors = np.array([c for c, _ in splats], dtype=float).reshape(n, 3)
+    opac = np.array([a for _, a in splats], dtype=float)
+    s = RenderSettings(background=np.asarray(background, dtype=float))
+    pix, *_ = _tile_forward(np.arange(n), (0, 0, 1, 1), np.full((n, 2), 0.5),
+                            np.tile([1.0, 0.0, 1.0], (n, 1)), opac, colors, s)
+    return pix[0, 0]
 
 
 def make_camera(fx=100.0, fy=100.0, cx=32.0, cy=32.0, w=64, h=64, near=0.01):
@@ -99,6 +119,11 @@ class TestQuaternions:
         assert np.abs(R - R2).max() < 1e-9
         assert (q2[:, 0] >= 0).all()
 
+    def test_known_rotations(self):
+        np.testing.assert_allclose(rotmat_to_quat(np.eye(3)), [1, 0, 0, 0], atol=0)
+        np.testing.assert_allclose(rotmat_to_quat(np.diag([1.0, -1.0, -1.0])),
+                                   [0, 1, 0, 0], atol=1e-12)
+
 
 class TestProjection:
     def test_on_axis_mean(self):
@@ -144,27 +169,51 @@ class TestProjection:
             np.testing.assert_allclose(m2 - pp, rot2d @ (m1 - pp), atol=1e-6)
             np.testing.assert_allclose(c2, rot2d @ c1 @ rot2d.T, atol=1e-6)
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(5)
-        cam = make_camera()
-        pos = rng.normal(0, 1.0, (50, 3)) + np.array([0, 0, 5.0])
-        cov = covariance_from_rs(quat_normalize(rng.normal(size=(50, 4))),
-                                 rng.uniform(0.05, 0.5, (50, 3)))
-        mean2d, cov2d, depth, valid = project_batch(cov, pos, cam)
-        for i in range(50):
-            single = project_gaussian(cov[i], pos[i], cam)
-            if single is None:
-                assert not valid[i]
-            else:
-                np.testing.assert_allclose(mean2d[i], single[0], atol=0)
-                np.testing.assert_allclose(cov2d[i], single[1], atol=0)
+    def test_central_differences_with_row_behind_near_plane(self):
+        rng = np.random.default_rng(7)
+        cam = Camera.look_at([0.3, -0.2, -3.0], [0.0, 0.1, 0.0], [0.0, -1.0, 0.0],
+                             90.0, 80.0, 32.0, 30.0, 64, 60)
+        pos = rng.normal(0, 0.6, (12, 3))
+        pos[3] = [0.1, 0.0, -3.5]         # behind the camera
+        A = rng.normal(0.0, 0.2, (12, 3, 3))
+        cov3 = A @ np.swapaxes(A, 1, 2) + 0.01 * np.eye(3)
+        valid = project(pos, cov3, cam)["valid"]
+        assert not valid[3] and valid.sum() == 11
+        w_mean = rng.normal(size=(12, 2))
+        w_conic = rng.normal(size=(12, 3))
+        d_pos, d_cov3 = project_backward(project(pos, cov3, cam), cam, w_mean, w_conic)
+        np.testing.assert_array_equal(d_pos[3], 0.0)
+        np.testing.assert_array_equal(d_cov3[3], 0.0)
+
+        def loss():
+            # a row in front of the near plane is not drawn: its placeholder
+            # mean and conic carry no loss
+            proj = project(pos, cov3, cam)
+            keep = proj["valid"][:, None]
+            return float(np.sum(keep * w_mean * proj["mean2d"])
+                         + np.sum(keep * w_conic * proj["conic"]))
+
+        h = 1e-6
+        for x, grad in [(pos, d_pos), (cov3, d_cov3)]:
+            for _ in range(4):
+                v = rng.normal(size=x.shape)
+                x += h * v
+                up = loss()
+                x -= 2.0 * h * v
+                down = loss()
+                x += h * v
+                fd = (up - down) / (2.0 * h)
+                an = float(np.sum(grad * v))
+                assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an)), (fd, an)
 
 
 class TestAlphaBlend:
     def test_single_nearly_opaque(self):
+        # alpha is capped at ALPHA_MAX; the rest of the light is background
         c = np.array([0.2, 0.4, 0.8])
-        out = alpha_blend([(c, 1.0 - 1e-9)])
-        np.testing.assert_allclose(out, c, atol=1e-8)
+        bg = np.array([0.1, 0.2, 0.3])
+        out = alpha_blend([(c, 1.0 - 1e-9)], bg)
+        np.testing.assert_allclose(out, ALPHA_MAX * c + (1.0 - ALPHA_MAX) * bg, atol=1e-15)
 
     def test_two_half_splats(self):
         c1, c2 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
@@ -189,11 +238,3 @@ class TestAlphaBlend:
         splats = [(np.full(3, c), a) for c, a in pairs]
         out = alpha_blend(splats, np.full(3, bg))
         assert np.all(out >= 0) and np.all(out <= 1 + 1e-9)
-
-
-class TestPack6:
-    def test_round_trip(self):
-        rng = np.random.default_rng(6)
-        cov = covariance_from_rs(quat_normalize(rng.normal(size=(10, 4))),
-                                 rng.uniform(0.1, 2.0, (10, 3)))
-        np.testing.assert_allclose(cov_unpack6(cov_pack6(cov)), cov, atol=0)

@@ -3,14 +3,13 @@ import pytest
 
 from kgs.decomposition import classify
 from kgs.deform import build_neighbor_table, init_field_params
-from kgs.gaussians import FOOTPRINT_RADIUS, TRANSMITTANCE_CUTOFF, Camera
+from kgs.gaussians import FOOTPRINT_RADIUS, TRANSMITTANCE_CUTOFF, Camera, project
 from kgs.renderer import (
     CHUNK,
     RenderSettings,
     _bin_tiles,
     _chunk_step,
     _pixel_axes,
-    _project_forward,
     _tile_backward,
     _tile_forward,
     _tile_rect,
@@ -59,7 +58,7 @@ class TestTiledMatchesNaive:
     def test_tiles_hold_several_slices(self):
         rng = np.random.default_rng(0)
         positions, cov3, _, _ = deep_points(rng, N_DEEP, 2.0, 0.5)
-        proj = _project_forward(positions, cov3, make_camera(), SETTINGS.dilation)
+        proj = project(positions, cov3, make_camera(), SETTINGS.dilation)
         tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                               proj["valid"], 20, 12, 8)
         assert len(tiles) == 6
@@ -154,7 +153,7 @@ def kernel_tiles(tile):
     positions, cov3, colors, opac = deep_points(rng, n, rng.uniform(1.0, 6.0, n), opac)
     cam = make_camera()
     s = RenderSettings(background=SETTINGS.background, tile=tile)
-    proj = _project_forward(positions, cov3, cam, s.dilation)
+    proj = project(positions, cov3, cam, s.dilation)
     tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                           proj["valid"], cam.width, cam.height, tile)
     ntx = (cam.width + tile - 1) // tile
@@ -351,7 +350,7 @@ def scattered_projection(seed, n=400, width=37, height=29):
     cov3 = A @ np.swapaxes(A, 1, 2) + 1e-4 * np.eye(3)
     cam = Camera(rotation=np.eye(3), translation=np.zeros(3), fx=30.0, fy=30.0,
                  cx=width / 2, cy=height / 2, width=width, height=height, near=0.01)
-    return _project_forward(positions, cov3, cam, 0.3), cam
+    return project(positions, cov3, cam, 0.3), cam
 
 
 class TestBinning:
