@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,7 +181,8 @@ DOTTED_KEYS = {
     "eval.holdout_every": "holdout_every",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Smallest value each bounded integer setting accepts.
+_MINIMUM = {"tile": 1, "k_neighbors": 0}
 
 
 def _is_finite_number(value):
@@ -212,8 +213,8 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
         elif isinstance(current, int):
             if not _is_finite_number(value) or value != int(value):
                 raise ConfigError(f"{key} expects an integer, got {value!r}")
-            if attr == "tile" and value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value!r}")
+            if value < _MINIMUM.get(attr, value):
+                raise ConfigError(f"{key} must be >= {_MINIMUM[attr]}, got {value!r}")
             updates[attr] = int(value)
         elif isinstance(current, float):
             if not _is_finite_number(value):

@@ -37,6 +37,12 @@ class Partition:
         mask[self.dynamic_indices] = True
         return mask
 
+    @staticmethod
+    def from_mask(dynamic, scores):
+        idx = np.arange(dynamic.shape[0])
+        return Partition(dynamic_indices=idx[dynamic], static_indices=idx[~dynamic],
+                         scores=scores)
+
 
 def all_dynamic_partition(n):
     """Before the first evaluation every splat is treated as dynamic."""
@@ -66,11 +72,7 @@ def classify(scores, tau=DEFAULT_TAU) -> Partition:
     if tau < 0:
         raise InvalidInputError("tau must be >= 0")
     scores = np.asarray(scores, dtype=float)
-    dynamic = scores > tau
-    idx = np.arange(scores.shape[0])
-    return Partition(dynamic_indices=idx[dynamic],
-                     static_indices=idx[~dynamic],
-                     scores=scores)
+    return Partition.from_mask(scores > tau, scores)
 
 
 def evaluate_partition_schedule(iteration, warmup=DEFAULT_WARMUP, repeat=DEFAULT_REPEAT):

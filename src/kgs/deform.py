@@ -11,7 +11,7 @@ drives both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,6 +19,10 @@ from scipy.spatial import cKDTree
 from .gaussians import InvalidInputError, NumericalError
 
 OFFSET_DIM = 9  # dx(3) + d_rot(3) + d_scale(3)
+
+# The FieldParams arrays the optimizer updates: predictor, fine head, features.
+FIELD_PARAMS = ("w1", "b1", "w2", "b2", "fine_w1", "fine_b1", "fine_w2", "fine_b2",
+                "features")
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +122,7 @@ class FieldParams:
 
     def param_items(self):
         """(name, array) pairs of everything the optimizer updates."""
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
-                ("fine_w1", self.fine_w1), ("fine_b1", self.fine_b1),
-                ("fine_w2", self.fine_w2), ("fine_b2", self.fine_b2),
-                ("features", self.features)]
+        return [(name, getattr(self, name)) for name in FIELD_PARAMS]
 
 
 def field_input_dim(pos_bands, time_bands):
@@ -296,13 +297,13 @@ def build_neighbor_table(positions, k):
     """(N, k') neighbor indices for every row of positions, self excluded.
 
     Uses a KD-tree; ties resolve by the tree's deterministic traversal. With
-    a single row the table degenerates to the row itself (callers fall back
-    to the splat's own offsets).
+    k = 0 the table has no columns, and with a single row it degenerates to
+    the row itself; either way callers fall back to the splat's own offsets.
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=int)
+    if n == 0 or k == 0:
+        return np.zeros((n, 0), dtype=int)
     if n == 1:
         return np.zeros((1, 1), dtype=int)
     k_eff = min(k, n - 1)

@@ -78,53 +78,6 @@ def quat_to_rotmat(q):
     return np.stack([row0, row1, row2], axis=-2)
 
 
-def rotmat_to_quat(R):
-    """Convert rotation matrices to (w,x,y,z) quaternions with w >= 0."""
-    R = np.asarray(R, dtype=float)
-    batch = R.shape[:-2]
-    Rf = R.reshape(-1, 3, 3)
-    n = Rf.shape[0]
-    q = np.empty((n, 4))
-    m00, m11, m22 = Rf[:, 0, 0], Rf[:, 1, 1], Rf[:, 2, 2]
-    tr = m00 + m11 + m22
-    # four Shepperd branches, picked by the largest pivot for stability
-    cand = np.stack([tr, m00, m11, m22], axis=1)
-    branch = np.argmax(cand, axis=1)
-    for b in range(4):
-        sel = branch == b
-        if not np.any(sel):
-            continue
-        r = Rf[sel]
-        if b == 0:
-            s = np.sqrt(tr[sel] + 1.0) * 2.0
-            q[sel, 0] = 0.25 * s
-            q[sel, 1] = (r[:, 2, 1] - r[:, 1, 2]) / s
-            q[sel, 2] = (r[:, 0, 2] - r[:, 2, 0]) / s
-            q[sel, 3] = (r[:, 1, 0] - r[:, 0, 1]) / s
-        elif b == 1:
-            s = np.sqrt(1.0 + r[:, 0, 0] - r[:, 1, 1] - r[:, 2, 2]) * 2.0
-            q[sel, 0] = (r[:, 2, 1] - r[:, 1, 2]) / s
-            q[sel, 1] = 0.25 * s
-            q[sel, 2] = (r[:, 0, 1] + r[:, 1, 0]) / s
-            q[sel, 3] = (r[:, 0, 2] + r[:, 2, 0]) / s
-        elif b == 2:
-            s = np.sqrt(1.0 + r[:, 1, 1] - r[:, 0, 0] - r[:, 2, 2]) * 2.0
-            q[sel, 0] = (r[:, 0, 2] - r[:, 2, 0]) / s
-            q[sel, 1] = (r[:, 0, 1] + r[:, 1, 0]) / s
-            q[sel, 2] = 0.25 * s
-            q[sel, 3] = (r[:, 1, 2] + r[:, 2, 1]) / s
-        else:
-            s = np.sqrt(1.0 + r[:, 2, 2] - r[:, 0, 0] - r[:, 1, 1]) * 2.0
-            q[sel, 0] = (r[:, 1, 0] - r[:, 0, 1]) / s
-            q[sel, 1] = (r[:, 0, 2] + r[:, 2, 0]) / s
-            q[sel, 2] = (r[:, 1, 2] + r[:, 2, 1]) / s
-            q[sel, 3] = 0.25 * s
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    flip = q[:, 0] < 0
-    q[flip] *= -1.0
-    return q.reshape(batch + (4,))
-
-
 def skew(v):
     v = np.asarray(v, dtype=float)
     z = np.zeros_like(v[..., 0])
@@ -263,9 +216,6 @@ class Camera:
             raise InvalidInputError("focal lengths must be > 0")
         if self.near <= 0:
             raise InvalidInputError("near plane must be > 0")
-
-    def world_to_camera(self, points):
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
     @staticmethod
     def look_at(eye, target, up, fx, fy, cx, cy, width, height, near=0.01):

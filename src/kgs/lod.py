@@ -88,30 +88,31 @@ def solve_log_scale(target_effective, level, cfg: LodConfig):
     return out, feasible
 
 
-def advance_level(scene, cfg: LodConfig):
-    """Move the whole scene one level finer.
-
-    Prunes the lowest-importance quantile, re-solves log scales so every
-    survivor keeps its effective scale where algebraically possible, resets
-    importance counters. Returns (keep_indices, n_clamped).
-    """
-    levels = scene.levels
-    current = int(levels.max(initial=1))
-    if current >= cfg.l_max:
+def level_survivors(scene, cfg: LodConfig):
+    """Rows that survive the move one level finer, in their current order:
+    all but the lowest-importance quantile, never none."""
+    if int(scene.levels.max(initial=1)) >= cfg.l_max:
         raise InvalidInputError("already at the finest level")
     n = scene.n
     order = np.argsort(scene.importance, kind="stable")
-    n_prune = int(np.floor(cfg.q_prune * n))
-    n_prune = min(n_prune, n - 1)       # never empty the scene
-    keep = np.sort(order[n_prune:])
-    scene.select(keep)
+    n_prune = min(int(np.floor(cfg.q_prune * n)), n - 1)
+    return np.sort(order[n_prune:])
+
+
+def advance_level(scene, cfg: LodConfig):
+    """Move the survivors one level finer, in place.
+
+    Re-solves log scales so every splat keeps its effective scale where
+    algebraically possible and resets the importance counters. Returns the
+    number of clamped scale components.
+    """
     old_eff = effective_scale(scene.log_scales, scene.levels, cfg)
     new_level = scene.levels + 1
     new_opt, feasible = solve_log_scale(old_eff, new_level, cfg)
     scene.log_scales = new_opt
     scene.levels = new_level
     scene.importance[:] = 0.0
-    return keep, int(np.sum(~feasible))
+    return int(np.sum(~feasible))
 
 
 def densify_candidates(scene, grad_accum, grad_count, cfg_d: DensifyConfig,

@@ -34,6 +34,7 @@ import numpy as np
 
 from .decomposition import Partition
 from .deform import (
+    FIELD_PARAMS,
     OffsetClamps,
     coarse_offsets_backward,
     coarse_offsets_batch,
@@ -72,6 +73,7 @@ from .kinematics import (
     refine_backward,
 )
 from .lod import LodConfig, min_scale_per_gaussian
+from .scene import SCENE_PARAMS
 
 # Splats per depth-ordered slice of a tile: the compositor's temporaries are
 # pixels x CHUNK, whatever a tile's depth.
@@ -129,61 +131,27 @@ class RenderTape:
 
 @dataclass
 class ParamGrads:
-    positions: np.ndarray
-    quaternions: np.ndarray
-    log_scales: np.ndarray
-    opacity_logits: np.ndarray
-    colors: np.ndarray
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    fine_w1: np.ndarray
-    fine_b1: np.ndarray
-    fine_w2: np.ndarray
-    fine_b2: np.ndarray
-    features: np.ndarray
+    grads: dict                 # parameter name -> gradient, SCENE_PARAMS + FIELD_PARAMS
     densify_norm: np.ndarray
     densify_count: np.ndarray
 
     def scene_items(self):
-        return [("positions", self.positions), ("quaternions", self.quaternions),
-                ("log_scales", self.log_scales), ("opacity_logits", self.opacity_logits),
-                ("colors", self.colors)]
+        return [(name, self.grads[name]) for name in SCENE_PARAMS]
 
     def field_items(self):
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
-                ("fine_w1", self.fine_w1), ("fine_b1", self.fine_b1),
-                ("fine_w2", self.fine_w2), ("fine_b2", self.fine_b2),
-                ("features", self.features)]
+        return [(name, self.grads[name]) for name in FIELD_PARAMS]
 
     def add_(self, other):
-        for (_, a), (_, b) in zip(self.scene_items() + self.field_items(),
-                                  other.scene_items() + other.field_items()):
-            a += b
+        for name, g in self.grads.items():
+            g += other.grads[name]
         self.densify_norm += other.densify_norm
         self.densify_count += other.densify_count
         return self
 
     def scale_(self, factor):
-        for _, a in self.scene_items() + self.field_items():
-            a *= factor
+        for g in self.grads.values():
+            g *= factor
         return self
-
-
-def zero_grads(scene, fieldp) -> ParamGrads:
-    return ParamGrads(
-        positions=np.zeros_like(scene.positions),
-        quaternions=np.zeros_like(scene.quaternions),
-        log_scales=np.zeros_like(scene.log_scales),
-        opacity_logits=np.zeros_like(scene.opacity_logits),
-        colors=np.zeros_like(scene.colors),
-        w1=np.zeros_like(fieldp.w1), b1=np.zeros_like(fieldp.b1),
-        w2=np.zeros_like(fieldp.w2), b2=np.zeros_like(fieldp.b2),
-        fine_w1=np.zeros_like(fieldp.fine_w1), fine_b1=np.zeros_like(fieldp.fine_b1),
-        fine_w2=np.zeros_like(fieldp.fine_w2), fine_b2=np.zeros_like(fieldp.fine_b2),
-        features=np.zeros_like(fieldp.features),
-        densify_norm=np.zeros(scene.n), densify_count=np.zeros(scene.n))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +219,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             "pred_cache": pred_cache, "fine_cache": fine_cache, "table": neighbor_table,
             "offsets": offsets, "pos_t": pos_t, "E": E, "R_q": R_q,
             "R_pred": R_pred, "exp_term": exp_term, "s_pred": s_pred,
-            "cov_pred": cov_pred, "v": v, "refined": refined,
+            "refined": refined,
             "ridx": ridx, "basis": basis_cache, "refine": refine_cache,
             "cov_render": cov_render, "scales_render": scales_render, "colors_c": colors_c,
             "color_mask": color_mask, "opac": opac, "dt": dt,
@@ -316,21 +284,23 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
         d_eff[:, 0:3] += d_dx_extra[dyn_idx]
 
     d_raw = np.zeros((n, 9))
-    grads_fine = None
+    grads = {}
     d_features = np.zeros_like(fieldp.features)
     if pose["cf_active"]:
         d_raw[dyn_idx] = coarse_offsets_backward(pose["table"], dyn_idx.size, d_eff)
-        fw1, fb1, fw2, fb2, d_f = fine_offsets_backward(fieldp, pose["fine_cache"], d_eff)
-        grads_fine = (fw1, fb1, fw2, fb2)
-        d_features[dyn_idx] = d_f
-    elif dyn_idx.size:
-        d_raw[dyn_idx] = d_eff
+        (grads["fine_w1"], grads["fine_b1"], grads["fine_w2"], grads["fine_b2"],
+         d_features[dyn_idx]) = fine_offsets_backward(fieldp, pose["fine_cache"], d_eff)
+    else:
+        grads.update({name: np.zeros_like(getattr(fieldp, name))
+                      for name in ("fine_w1", "fine_b1", "fine_w2", "fine_b2")})
+        if dyn_idx.size:
+            d_raw[dyn_idx] = d_eff
     if d_dx_extra is not None:
         static_rows = ~dyn
         d_raw[static_rows, 0:3] += d_dx_extra[static_rows]
 
-    d_w1, d_b1, d_w2, d_b2, d_pos_enc, d_qn_pred, d_ls_pred = predict_offsets_backward(
-        fieldp, pose["pred_cache"], d_raw)
+    (grads["w1"], grads["b1"], grads["w2"], grads["b2"], d_pos_enc, d_qn_pred,
+     d_ls_pred) = predict_offsets_backward(fieldp, pose["pred_cache"], d_raw)
     d_positions += d_pos_enc
     d_log_scales += d_ls_pred
 
@@ -342,12 +312,9 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
     norm_raw = np.linalg.norm(q_raw, axis=1, keepdims=True)
     d_quats += (d_qn_pred - np.sum(d_qn_pred * q_n, axis=1, keepdims=True) * q_n) / norm_raw
 
-    if grads_fine is None:
-        grads_fine = (np.zeros_like(fieldp.fine_w1), np.zeros_like(fieldp.fine_b1),
-                      np.zeros_like(fieldp.fine_w2), np.zeros_like(fieldp.fine_b2))
-    return {"positions": d_positions, "quaternions": d_quats,
-            "log_scales": d_log_scales, "w1": d_w1, "b1": d_b1, "w2": d_w2,
-            "b2": d_b2, "fine": grads_fine, "features": d_features}
+    grads.update(positions=d_positions, quaternions=d_quats, log_scales=d_log_scales,
+                 features=d_features)
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +548,6 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     return frame, tape
 
 
-def replay_tape(tape: RenderTape):
-    """Re-run compositing from the tape; bit-identical to the forward image."""
-    image, _, _, _ = _raster_forward(tape.tiles, tape.cam, tape.proj, tape.pose,
-                                     tape.settings, tape.n)
-    return np.clip(image, 0.0, 1.0)
-
-
 def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
                     d_scales_extra=None) -> ParamGrads:
     """Analytic gradients of a scalar loss through the rendered image.
@@ -598,25 +558,15 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
     d_mean2d, d_conic, d_opac, d_colors = _raster_backward(tape, d_image)
     d_pos_t, d_cov3 = project_backward(tape.proj, tape.cam, d_mean2d, d_conic)
     pose = tape.pose
-    out = _pose_backward(pose, tape.settings, fieldp, d_pos_t, d_cov3,
-                         d_dx_extra=d_dx_extra, d_scales_extra=d_scales_extra)
-
-    d_logits = d_opac * pose["opac"] * (1.0 - pose["opac"])
-    d_colors_raw = d_colors * pose["color_mask"]
+    grads = _pose_backward(pose, tape.settings, fieldp, d_pos_t, d_cov3,
+                           d_dx_extra=d_dx_extra, d_scales_extra=d_scales_extra)
+    grads["opacity_logits"] = d_opac * pose["opac"] * (1.0 - pose["opac"])
+    grads["colors"] = d_colors * pose["color_mask"]
 
     half = np.array([tape.cam.width * 0.5, tape.cam.height * 0.5])
-    densify_norm = np.linalg.norm(d_mean2d * half, axis=1)
-
-    fw1, fb1, fw2, fb2 = out["fine"]
-    return ParamGrads(
-        positions=out["positions"], quaternions=out["quaternions"],
-        log_scales=out["log_scales"], opacity_logits=d_logits,
-        colors=d_colors_raw,
-        w1=out["w1"], b1=out["b1"], w2=out["w2"], b2=out["b2"],
-        fine_w1=fw1, fine_b1=fb1, fine_w2=fw2, fine_b2=fb2,
-        features=out["features"],
-        densify_norm=densify_norm,
-        densify_count=tape.touched.astype(float))
+    return ParamGrads(grads={name: grads[name] for name in SCENE_PARAMS + FIELD_PARAMS},
+                      densify_norm=np.linalg.norm(d_mean2d * half, axis=1),
+                      densify_count=tape.touched.astype(float))
 
 
 def render_points(positions, cov3, colors, opacities, cam: Camera,

@@ -9,7 +9,7 @@ state writes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from .gaussians import InvalidInputError, quat_normalize
 
 MAGIC = b"KGS1"
 VERSION = 1
+
+# The Scene arrays the optimizer updates; levels and importance are not.
+SCENE_PARAMS = ("positions", "quaternions", "log_scales", "opacity_logits", "colors")
 
 
 @dataclass
@@ -36,38 +39,21 @@ class Scene:
         return self.positions.shape[0]
 
     def per_gaussian_arrays(self):
-        return {"positions": self.positions, "quaternions": self.quaternions,
-                "log_scales": self.log_scales, "opacity_logits": self.opacity_logits,
-                "colors": self.colors, "levels": self.levels,
-                "importance": self.importance}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def select(self, indices):
         """Keep only the given rows (in the given order)."""
-        self.positions = self.positions[indices]
-        self.quaternions = self.quaternions[indices]
-        self.log_scales = self.log_scales[indices]
-        self.opacity_logits = self.opacity_logits[indices]
-        self.colors = self.colors[indices]
-        self.levels = self.levels[indices]
-        self.importance = self.importance[indices]
+        for name, arr in self.per_gaussian_arrays().items():
+            setattr(self, name, arr[indices])
 
-    def append(self, positions, quaternions, log_scales, opacity_logits, colors,
-               levels, importance=None):
-        k = positions.shape[0]
-        self.positions = np.concatenate([self.positions, positions])
-        self.quaternions = np.concatenate([self.quaternions, quaternions])
-        self.log_scales = np.concatenate([self.log_scales, log_scales])
-        self.opacity_logits = np.concatenate([self.opacity_logits, opacity_logits])
-        self.colors = np.concatenate([self.colors, colors])
-        self.levels = np.concatenate([self.levels, np.asarray(levels, dtype=self.levels.dtype)])
-        add_imp = np.zeros(k) if importance is None else importance
-        self.importance = np.concatenate([self.importance, add_imp])
+    def append_rows(self, parents, **replacements):
+        """Append a copy of each parent row; a named replacement array
+        stands in for that array's copied rows."""
+        for name, arr in self.per_gaussian_arrays().items():
+            setattr(self, name, np.concatenate([arr, replacements.get(name, arr[parents])]))
 
     def renormalize_rotations(self):
         self.quaternions = quat_normalize(self.quaternions)
-
-    def copy(self):
-        return Scene(**{k: v.copy() for k, v in self.per_gaussian_arrays().items()})
 
 
 def make_scene(positions, quaternions, log_scales, opacity_logits, colors, levels=None):
@@ -103,15 +89,15 @@ def random_scene(rng, count, bound, scale=0.05, opacity=0.1, level=1):
 
 def write_checkpoint(path, arrays: dict, meta: dict):
     """Write named arrays plus JSON-serializable metadata."""
-    fields = []
+    specs = []
     blobs = []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         dt = arr.dtype.newbyteorder("<")
         blob = arr.astype(dt, copy=False).tobytes()
-        fields.append({"name": name, "dtype": dt.str, "shape": list(arr.shape)})
+        specs.append({"name": name, "dtype": dt.str, "shape": list(arr.shape)})
         blobs.append(blob)
-    header = json.dumps({"version": VERSION, "fields": fields, "meta": meta},
+    header = json.dumps({"version": VERSION, "fields": specs, "meta": meta},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)

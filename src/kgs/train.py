@@ -10,24 +10,24 @@ scheduling, never values.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .decomposition import (
     Partition,
-    all_dynamic_partition,
     classify,
     compute_scores,
     evaluate_partition_schedule,
 )
-from .deform import FieldParams, NoiseSchedule, build_neighbor_table
+from .deform import FIELD_PARAMS, FieldParams, NoiseSchedule, build_neighbor_table
 from .gaussians import NumericalError
 from .lod import (
     DensifyConfig,
     LodConfig,
     advance_level,
     densify_candidates,
+    level_survivors,
     opacity_reset_logits,
     prune_mask_low_opacity,
     split_parameters,
@@ -40,8 +40,11 @@ from .losses import (
     reg_loss,
     reg_loss_backward,
 )
-from .renderer import ParamGrads, RenderSettings, render, render_backward, zero_grads
-from .scene import Scene, read_checkpoint, write_checkpoint
+from .renderer import ParamGrads, RenderSettings, render, render_backward
+from .scene import SCENE_PARAMS, Scene, read_checkpoint, write_checkpoint
+
+# Per-splat optimized arrays: their Adam moments follow every row edit.
+ROW_PARAMS = SCENE_PARAMS + ("features",)
 
 
 def exponential_lr(initial, final, k, total):
@@ -52,8 +55,8 @@ def exponential_lr(initial, final, k, total):
 
 
 class Adam:
-    """Adam over a dict of named arrays, with row surgery for per-splat
-    parameters so densification can extend or prune optimizer state."""
+    """Adam over a dict of named arrays; TrainState.edit_rows keeps the
+    per-splat moments aligned with the scene."""
 
     def __init__(self, names_shapes, beta1=0.9, beta2=0.999, eps=1e-15):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -74,17 +77,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= lrs[name] * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def select_rows(self, names, idx):
-        for n in names:
-            self.m[n] = self.m[n][idx]
-            self.v[n] = self.v[n][idx]
-
-    def append_rows(self, names, k):
-        for n in names:
-            pad = np.zeros((k,) + self.m[n].shape[1:])
-            self.m[n] = np.concatenate([self.m[n], pad])
-            self.v[n] = np.concatenate([self.v[n], pad])
 
     def state_arrays(self):
         out = {}
@@ -126,14 +118,39 @@ class TrainState:
         if self.grad_count is None:
             self.grad_count = np.zeros(self.scene.n)
 
+    def edit_rows(self, keep=None, parents=None, **replacements):
+        """The one per-splat row edit: keep only the rows `keep`, or append a
+        copy of each row in `parents`, with named replacement arrays in place
+        of copied scene rows. Scene, features, the Adam moments of
+        ROW_PARAMS, the gradient statistics and the partition change
+        together. Appended rows start with zero moments, statistics and
+        importance, and take their parent's partition label and score."""
+        if keep is not None:
+            self.scene.select(keep)
+            rows = fresh = lambda a: a[keep]
+        else:
+            self.scene.append_rows(parents, importance=np.zeros(parents.size),
+                                   **replacements)
+            rows = lambda a: np.concatenate([a, a[parents]])
+            fresh = lambda a: np.concatenate([a, np.zeros((parents.size,) + a.shape[1:])])
+        self.fieldp.features = rows(self.fieldp.features)
+        for name in ROW_PARAMS:
+            self.adam.m[name] = fresh(self.adam.m[name])
+            self.adam.v[name] = fresh(self.adam.v[name])
+        self.grad_accum = fresh(self.grad_accum)
+        self.grad_count = fresh(self.grad_count)
+        self.partition = Partition.from_mask(rows(self.partition.dynamic_mask()),
+                                             rows(self.partition.scores))
 
-SCENE_PARAM_NAMES = ["positions", "quaternions", "log_scales", "opacity_logits", "colors"]
+
+def param_arrays(scene: Scene, fieldp: FieldParams):
+    """The optimized arrays by name, SCENE_PARAMS then FIELD_PARAMS."""
+    return {**{n: getattr(scene, n) for n in SCENE_PARAMS}, **dict(fieldp.param_items())}
 
 
 def make_adam(scene: Scene, fieldp: FieldParams, beta1=0.9, beta2=0.999, eps=1e-15):
-    shapes = [(n, scene.per_gaussian_arrays()[n].shape) for n in SCENE_PARAM_NAMES]
-    shapes += [(n, a.shape) for n, a in fieldp.param_items()]
-    return Adam(shapes, beta1=beta1, beta2=beta2, eps=eps)
+    return Adam([(n, a.shape) for n, a in param_arrays(scene, fieldp).items()],
+                beta1=beta1, beta2=beta2, eps=eps)
 
 
 def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
@@ -165,58 +182,23 @@ def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
 
 
 def apply_step(state: TrainState, grads: ParamGrads, lrs: dict):
-    params = {n: state.scene.per_gaussian_arrays()[n] for n in SCENE_PARAM_NAMES}
-    params.update(dict(state.fieldp.param_items()))
-    gdict = dict(grads.scene_items() + grads.field_items())
-    state.adam.step(params, gdict, lrs)
+    state.adam.step(param_arrays(state.scene, state.fieldp), grads.grads, lrs)
     state.scene.renormalize_rotations()
 
 
 def learning_rates(cfg, k):
     """Per-parameter learning rates at iteration k (exponential decay)."""
     total = cfg.iterations
-    return {
-        "positions": exponential_lr(cfg.lr_position, cfg.lr_position_final, k, total),
-        "quaternions": cfg.lr_rotation,
-        "log_scales": cfg.lr_scale,
-        "opacity_logits": cfg.lr_opacity,
-        "colors": cfg.lr_color,
-        "w1": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "b1": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "w2": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "b2": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "fine_w1": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "fine_b1": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "fine_w2": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "fine_b2": exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total),
-        "features": cfg.lr_features,
-    }
+    field_lr = exponential_lr(cfg.lr_field, cfg.lr_field_final, k, total)
+    return {"positions": exponential_lr(cfg.lr_position, cfg.lr_position_final, k, total),
+            "quaternions": cfg.lr_rotation, "log_scales": cfg.lr_scale,
+            "opacity_logits": cfg.lr_opacity, "colors": cfg.lr_color,
+            **dict.fromkeys(FIELD_PARAMS, field_lr), "features": cfg.lr_features}
 
 
 # ---------------------------------------------------------------------------
 # structural edits
 # ---------------------------------------------------------------------------
-
-def _refresh_partition_arrays(state: TrainState, keep=None, appended=0,
-                              parent_idx=None):
-    """Keep partition/stat arrays aligned with the scene after row surgery.
-    New splats inherit the parent's label until the next evaluation."""
-    mask = state.partition.dynamic_mask()
-    scores = state.partition.scores
-    if keep is not None:
-        mask = mask[keep]
-        scores = scores[keep]
-        state.grad_accum = state.grad_accum[keep]
-        state.grad_count = state.grad_count[keep]
-    if appended:
-        mask = np.concatenate([mask, mask[parent_idx]])
-        scores = np.concatenate([scores, scores[parent_idx]])
-        state.grad_accum = np.concatenate([state.grad_accum, np.zeros(appended)])
-        state.grad_count = np.concatenate([state.grad_count, np.zeros(appended)])
-    idx = np.arange(mask.size)
-    state.partition = Partition(dynamic_indices=idx[mask],
-                                static_indices=idx[~mask], scores=scores)
-
 
 def rebuild_neighbors(state: TrainState, k):
     dyn_idx = state.partition.dynamic_indices
@@ -238,29 +220,14 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
                                                     state.grad_count, dcfg, lod_cfg)
         split_idx = np.where(split_mask)[0]
         clone_idx = np.where(clone_mask)[0]
-        parents = []
+        # clones first: their rows precede the split children's
         if clone_idx.size:
-            scene.append(scene.positions[clone_idx], scene.quaternions[clone_idx],
-                         scene.log_scales[clone_idx], scene.opacity_logits[clone_idx],
-                         scene.colors[clone_idx], scene.levels[clone_idx])
-            state.fieldp.features = np.concatenate(
-                [state.fieldp.features, state.fieldp.features[clone_idx]])
-            parents.append(clone_idx)
+            state.edit_rows(parents=clone_idx)
         if split_idx.size:
             rep, positions, log_scales = split_parameters(scene, split_idx, dcfg,
                                                           lod_cfg, state.rng)
-            scene.append(positions, scene.quaternions[rep], log_scales,
-                         scene.opacity_logits[rep], scene.colors[rep],
-                         scene.levels[rep])
-            state.fieldp.features = np.concatenate(
-                [state.fieldp.features, state.fieldp.features[rep]])
-            parents.append(rep)
-        appended = sum(p.size for p in parents)
-        if appended:
-            parent_idx = np.concatenate(parents)
-            state.adam.append_rows(SCENE_PARAM_NAMES + ["features"], appended)
-            _refresh_partition_arrays(state, appended=appended, parent_idx=parent_idx)
-            changed = True
+            state.edit_rows(parents=rep, positions=positions, log_scales=log_scales)
+        changed = bool(clone_idx.size or split_idx.size)
         # drop split parents and anything too transparent
         drop = prune_mask_low_opacity(scene.opacity_logits, dcfg.opacity_prune)
         if split_idx.size:
@@ -269,10 +236,7 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
             keep = np.where(~drop)[0]
             if keep.size == 0:
                 keep = np.array([int(np.argmax(scene.opacity_logits))])
-            scene.select(keep)
-            state.fieldp.features = state.fieldp.features[keep]
-            state.adam.select_rows(SCENE_PARAM_NAMES + ["features"], keep)
-            _refresh_partition_arrays(state, keep=keep)
+            state.edit_rows(keep=keep)
             changed = True
         state.grad_accum[:] = 0.0
         state.grad_count[:] = 0.0
@@ -287,10 +251,8 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
 
 
 def advance_scene_level(state: TrainState, lod_cfg: LodConfig):
-    keep, clamped = advance_level(state.scene, lod_cfg)
-    state.fieldp.features = state.fieldp.features[keep]
-    state.adam.select_rows(SCENE_PARAM_NAMES + ["features"], keep)
-    _refresh_partition_arrays(state, keep=keep)
+    state.edit_rows(keep=level_survivors(state.scene, lod_cfg))
+    clamped = advance_level(state.scene, lod_cfg)
     state.clamp_warnings += clamped
     return clamped
 
@@ -308,9 +270,8 @@ def recompute_partition(state: TrainState, tau, n_samples, clamps):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, state: TrainState, config_dict: dict):
-    arrays = dict(state.scene.per_gaussian_arrays())
-    arrays.update(dict(state.fieldp.param_items()))
-    arrays.update(state.adam.state_arrays())
+    arrays = {**state.scene.per_gaussian_arrays(), **dict(state.fieldp.param_items()),
+              **state.adam.state_arrays()}
     arrays["partition_scores"] = state.partition.scores
     arrays["partition_dynamic"] = state.partition.dynamic_mask().astype(np.uint8)
     arrays["grad_accum"] = state.grad_accum
@@ -331,21 +292,10 @@ def save_checkpoint(path, state: TrainState, config_dict: dict):
 
 def load_checkpoint(path, beta1=0.9, beta2=0.999, eps=1e-15):
     arrays, meta = read_checkpoint(path)
-    scene = Scene(positions=arrays["positions"], quaternions=arrays["quaternions"],
-                  log_scales=arrays["log_scales"],
-                  opacity_logits=arrays["opacity_logits"], colors=arrays["colors"],
-                  levels=arrays["levels"].astype(np.int64),
-                  importance=arrays["importance"])
-    fm = meta["field_meta"]
-    fieldp = FieldParams(w1=arrays["w1"], b1=arrays["b1"], w2=arrays["w2"],
-                         b2=arrays["b2"], fine_w1=arrays["fine_w1"],
-                         fine_b1=arrays["fine_b1"], fine_w2=arrays["fine_w2"],
-                         fine_b2=arrays["fine_b2"], features=arrays["features"],
-                         time_bands=fm["time_bands"], pos_bands=fm["pos_bands"])
-    mask = arrays["partition_dynamic"].astype(bool)
-    idx = np.arange(mask.size)
-    partition = Partition(dynamic_indices=idx[mask], static_indices=idx[~mask],
-                          scores=arrays["partition_scores"])
+    scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
+    fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
+    partition = Partition.from_mask(arrays["partition_dynamic"].astype(bool),
+                                    arrays["partition_scores"])
     adam = make_adam(scene, fieldp, beta1=beta1, beta2=beta2, eps=eps)
     adam.load_state_arrays(arrays)
     adam.t = meta["adam_t"]

@@ -34,9 +34,10 @@ class TestRejects:
         ({"iterations": math.inf}, "iterations"),
         ({"render.tile": 0}, "render.tile"),
         ({"render.tile": -4}, "render.tile"),
+        ({"cf.k": -3}, "cf.k"),
     ], ids=["unknown", "bool_for_int", "fraction_for_int", "string_for_float",
             "int_for_bool", "background_len", "background_nan", "nan", "minus_inf",
-            "inf_for_int", "tile_zero", "tile_negative"])
+            "inf_for_int", "tile_zero", "tile_negative", "k_negative"])
     def test_names_the_key(self, flat, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             config_from_dict(flat)
@@ -52,6 +53,9 @@ class TestRejects:
         path.write_text(text)
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             load_config(path)
+
+    def test_zero_neighbors_allowed(self):
+        assert config_from_dict({"cf.k": 0}).k_neighbors == 0
 
     def test_load_config_accepts_finite(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -268,6 +268,15 @@ class TestKnn:
         pos = np.random.default_rng(0).normal(size=(4, 3))
         assert set(build_neighbor_table(pos, 10)[1]) == {0, 2, 3}
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_zero_neighbors(self, n):
+        """k = 0 gives a table without columns: every splat keeps its own offsets."""
+        rng = np.random.default_rng(n)
+        table = build_neighbor_table(rng.normal(size=(n, 3)), 0)
+        assert table.shape == (n, 0) and table.dtype == int
+        offsets = rng.normal(size=(n, 9))
+        np.testing.assert_array_equal(coarse_offsets_batch(offsets, table), offsets)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         pos = rng.normal(size=(500, 3))

@@ -15,7 +15,6 @@ from kgs.gaussians import (
     project_backward,
     quat_normalize,
     quat_to_rotmat,
-    rotmat_to_quat,
 )
 from kgs.renderer import RenderSettings, _tile_forward
 
@@ -110,19 +109,23 @@ class TestExpMap:
 
 
 class TestQuaternions:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        q = quat_normalize(rng.normal(size=(500, 4)))
-        R = quat_to_rotmat(q)
-        q2 = rotmat_to_quat(R)
-        R2 = quat_to_rotmat(q2)
-        assert np.abs(R - R2).max() < 1e-9
-        assert (q2[:, 0] >= 0).all()
-
     def test_known_rotations(self):
-        np.testing.assert_allclose(rotmat_to_quat(np.eye(3)), [1, 0, 0, 0], atol=0)
-        np.testing.assert_allclose(rotmat_to_quat(np.diag([1.0, -1.0, -1.0])),
-                                   [0, 1, 0, 0], atol=1e-12)
+        np.testing.assert_array_equal(quat_to_rotmat(IDENTITY_Q), np.eye(3))
+        # half turn about x
+        np.testing.assert_array_equal(quat_to_rotmat(np.array([0.0, 1.0, 0.0, 0.0])),
+                                      np.diag([1.0, -1.0, -1.0]))
+
+    def test_sign_invariant(self):
+        q = np.random.default_rng(3).normal(size=(500, 4))
+        np.testing.assert_array_equal(quat_to_rotmat(-q), quat_to_rotmat(q))
+
+    def test_orthonormal(self):
+        """Non-unit quaternions are normalized first: R is a proper rotation."""
+        q = np.random.default_rng(4).normal(size=(500, 4)) * 3.0
+        R = quat_to_rotmat(q)
+        np.testing.assert_allclose(R @ np.swapaxes(R, 1, 2),
+                                   np.broadcast_to(np.eye(3), R.shape), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
 
 
 class TestProjection:

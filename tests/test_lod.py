@@ -8,6 +8,7 @@ from kgs.lod import (
     advance_level,
     densify_candidates,
     effective_scale,
+    level_survivors,
     min_scale,
     opacity_reset_logits,
     prune_mask_low_opacity,
@@ -75,11 +76,18 @@ def tiny_scene(n=6, seed=0):
     return scene, rng
 
 
+def advance(scene, cfg):
+    """Both halves of a level transition: select the survivors, rescale."""
+    scene.select(level_survivors(scene, cfg))
+    return advance_level(scene, cfg)
+
+
 class TestAdvanceLevel:
     def test_pure_clone_preserves_count(self):
         scene, _ = tiny_scene()
         cfg = LodConfig(l_max=3, lam=0.01, rho=0.5, q_prune=0.0)
-        keep, clamped = advance_level(scene, cfg)
+        np.testing.assert_array_equal(level_survivors(scene, cfg), np.arange(6))
+        advance(scene, cfg)
         assert scene.n == 6
         assert np.all(scene.levels == 2)
         assert np.all(scene.importance == 0)
@@ -88,7 +96,8 @@ class TestAdvanceLevel:
         scene, _ = tiny_scene(n=2)
         scene.importance = np.array([0.0, 10.0])
         cfg = LodConfig(l_max=3, lam=0.01, rho=0.5, q_prune=0.5)
-        advance_level(scene, cfg)
+        np.testing.assert_array_equal(level_survivors(scene, cfg), [1])
+        advance(scene, cfg)
         assert scene.n == 1
         assert np.all(scene.levels == 2)
 
@@ -96,7 +105,7 @@ class TestAdvanceLevel:
         scene, _ = tiny_scene()
         cfg = LodConfig(l_max=3, lam=0.001, rho=0.5, q_prune=0.0)
         before = effective_scale(scene.log_scales, scene.levels, cfg)
-        _, clamped = advance_level(scene, cfg)
+        clamped = advance(scene, cfg)
         after = effective_scale(scene.log_scales, scene.levels, cfg)
         assert clamped == 0
         np.testing.assert_allclose(after, before, rtol=1e-9)
@@ -104,8 +113,10 @@ class TestAdvanceLevel:
     def test_never_empties_scene(self):
         scene, _ = tiny_scene(n=1)
         cfg = LodConfig(l_max=2, lam=0.01, rho=0.5, q_prune=0.99)
-        advance_level(scene, cfg)
+        advance(scene, cfg)
         assert scene.n == 1
+        with pytest.raises(InvalidInputError, match="finest"):
+            level_survivors(scene, cfg)
 
 
 class TestDensify:

@@ -10,6 +10,7 @@ from kgs.renderer import (
     _bin_tiles,
     _chunk_step,
     _pixel_axes,
+    _raster_forward,
     _tile_backward,
     _tile_forward,
     _tile_rect,
@@ -17,9 +18,9 @@ from kgs.renderer import (
     render_backward,
     render_points,
     render_points_naive,
-    replay_tape,
 )
 from kgs.scene import make_scene
+from kgs.train import param_arrays
 
 # enough splats on every tile for three depth slices
 N_DEEP = 2 * CHUNK + 44
@@ -245,12 +246,6 @@ def train_frame(scene, fieldp, partition, table, cam, settings=SETTINGS):
                   dt=0.125, neighbor_table=table)
 
 
-def param_arrays(scene, fieldp):
-    return {"positions": scene.positions, "quaternions": scene.quaternions,
-            "log_scales": scene.log_scales, "opacity_logits": scene.opacity_logits,
-            "colors": scene.colors, **dict(fieldp.param_items())}
-
-
 class TestBackward:
     def test_central_differences(self):
         scene, fieldp, partition, table, cam = deep_scene(4)
@@ -405,6 +400,13 @@ class TestTape:
         assert pairs == want_pairs > 0
 
     def test_replay_is_bit_identical(self):
+        """Compositing again from the tape reproduces the forward image."""
+
+        def replay_tape(tape):
+            image, _, _, _ = _raster_forward(tape.tiles, tape.cam, tape.proj, tape.pose,
+                                             tape.settings, tape.n)
+            return np.clip(image, 0.0, 1.0)
+
         scene, fieldp, partition, table, cam = deep_scene(9, opacity=0.3)
         frame, tape = train_frame(scene, fieldp, partition, table, cam)
         np.testing.assert_array_equal(replay_tape(tape), frame.image)

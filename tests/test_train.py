@@ -5,15 +5,20 @@ import pytest
 
 import kgs.scene
 from kgs.config import config_from_dict
-from kgs.decomposition import all_dynamic_partition
-from kgs.deform import build_neighbor_table, init_field_params
+from kgs.decomposition import all_dynamic_partition, classify
+from kgs.deform import FIELD_PARAMS, build_neighbor_table, init_field_params
 from kgs.gaussians import Camera, InvalidInputError
-from kgs.scene import random_scene, read_checkpoint, write_checkpoint
+from kgs.scene import SCENE_PARAMS, random_scene, read_checkpoint, write_checkpoint
 from kgs.train import (
+    ROW_PARAMS,
     TrainState,
+    advance_scene_level,
     densify_and_prune,
+    frame_loss_and_grads,
+    learning_rates,
     load_checkpoint,
     make_adam,
+    param_arrays,
     save_checkpoint,
     train_loop,
 )
@@ -52,22 +57,217 @@ def initial_state(cfg, count=30):
 
 
 def run(cfg, iterations=None, state=None):
+    """Train; returns the state, the losses, and per iteration the splat
+    count, the dynamic count and the level."""
     state = initial_state(cfg) if state is None else state
     rows, levels = [], []
     train_loop(state, Clip(), cfg, cfg.render_settings(), cfg.loss_weights(),
                cfg.densify(), cfg.noise_schedule(), rows, iterations=iterations,
                on_checkpoint=lambda st: levels.append(int(st.scene.levels.max())))
-    return state, [r["loss"] for r in rows], levels
+    counts = [(r["n_gaussians"], r["n_dynamic"], lv) for r, lv in zip(rows, levels)]
+    return state, [r["loss"] for r in rows], counts
 
 
 class TestStopEarly:
     def test_shortened_run_is_a_prefix(self):
         cfg = config_from_dict(CONFIG)
-        _, losses, levels = run(cfg)
-        assert levels == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
-        _, short_losses, short_levels = run(cfg, iterations=6)
-        assert short_levels == levels[:6]
+        _, losses, counts = run(cfg)
+        assert [c[2] for c in counts] == [1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]
+        _, short_losses, short_counts = run(cfg, iterations=6)
+        assert short_counts == counts[:6]
         assert short_losses == losses[:6]
+
+
+class TestNoNeighbors:
+    def test_trains_with_k_zero(self):
+        """cf.k = 0: coarse aggregation keeps each splat's own offsets."""
+        cfg = config_from_dict({**CONFIG, "cf.k": 0})
+        state, losses, _ = run(cfg, iterations=3)
+        assert state.neighbor_table.shape == (state.partition.dynamic_indices.size, 0)
+        assert np.all(np.isfinite(losses)) and len(losses) == 3
+
+
+# Densify at 3, 6, 9 and 12, partition at 4, 8 and 12 (leaving static
+# splats), level advance at the start of 5 and 9.
+RESUME_CONFIG = {**CONFIG, "densify.start": 3, "densify.interval": 3, "densify.end": 12,
+                 "densify.grad_threshold": 3e-3, "decomp.warmup": 4, "decomp.repeat": 4,
+                 "decomp.tau": 1.05e-5, "cf.refresh": 5}
+
+
+def state_arrays(state):
+    """Every array a resumed run must reproduce, by name."""
+    out = {f"scene.{n}": a for n, a in state.scene.per_gaussian_arrays().items()}
+    out.update({f"field.{n}": a for n, a in state.fieldp.param_items()})
+    out.update(state.adam.state_arrays())
+    p = state.partition
+    out.update(dynamic=p.dynamic_indices, static=p.static_indices, scores=p.scores,
+               grad_accum=state.grad_accum, grad_count=state.grad_count,
+               neighbor_table=state.neighbor_table)
+    return out
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    return run(config_from_dict(RESUME_CONFIG))
+
+
+class TestResume:
+    def test_schedule_has_every_event(self, uninterrupted):
+        _, _, counts = uninterrupted
+        n, dyn, level = (np.array(c) for c in zip(*counts))
+        assert n[2] != n[1]                     # densify at 3
+        assert dyn[3] < n[3] and dyn[2] == n[2]  # first partition at 4
+        assert level[4] == level[3] + 1 and level[8] == level[7] + 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_resumed_run_is_the_uninterrupted_one(self, tmp_path, uninterrupted, k):
+        """Stop at k, just before a densify (2), the first partition (3), a
+        level advance (4), or a level advance and a densify with static
+        splats (8); save, load and continue."""
+        full, losses, counts = uninterrupted
+        head, head_losses, _ = run(config_from_dict(RESUME_CONFIG), iterations=k)
+        save_checkpoint(tmp_path / "head.kgs", head, RESUME_CONFIG)
+        resumed, meta = load_checkpoint(tmp_path / "head.kgs")
+        assert meta["config"] == RESUME_CONFIG and resumed.iteration == k
+        if k >= 4:
+            assert resumed.partition.static_indices.size > 0
+        _, tail_losses, tail_counts = run(config_from_dict(meta["config"]), state=resumed)
+        assert head_losses + tail_losses == losses
+        assert tail_counts == counts[k:]
+        assert resumed.adam.t == full.adam.t and resumed.iteration == full.iteration
+        assert resumed.rng.bit_generator.state == full.rng.bit_generator.state
+        got, want = state_arrays(resumed), state_arrays(full)
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype, name
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+
+def row_arrays(state):
+    """Every per-splat array of a training state, by name."""
+    out = {f"scene.{n}": a for n, a in state.scene.per_gaussian_arrays().items()}
+    out["features"] = state.fieldp.features
+    out.update({f"m.{n}": state.adam.m[n] for n in ROW_PARAMS})
+    out.update({f"v.{n}": state.adam.v[n] for n in ROW_PARAMS})
+    out.update(grad_accum=state.grad_accum, grad_count=state.grad_count,
+               dynamic=state.partition.dynamic_mask(), scores=state.partition.scores)
+    return out
+
+
+def marked_state(cfg, seed):
+    """A 30-splat state whose every per-splat array is random, with a mixed
+    partition, unique colours and row i's moments all i + 1."""
+    state = initial_state(cfg)
+    rng = np.random.default_rng(seed)
+    state.partition = classify(rng.uniform(size=30), 0.5)
+    state.scene.colors = rng.uniform(0.1, 0.9, (30, 3))
+    state.scene.importance = rng.uniform(size=30)
+    state.scene.levels[:] = 1
+    state.fieldp.features = rng.normal(size=state.fieldp.features.shape)
+    state.grad_accum = rng.uniform(1.0, 2.0, 30)
+    state.grad_count = rng.uniform(1.0, 2.0, 30)
+    for name in ROW_PARAMS:
+        for moments in (state.adam.m, state.adam.v):
+            moments[name] = np.broadcast_to(
+                (np.arange(30) + 1.0).reshape((30,) + (1,) * (moments[name].ndim - 1)),
+                moments[name].shape).copy()
+    return state
+
+
+ZERO_WHEN_APPENDED = ("scene.importance", "grad_accum", "grad_count")
+
+
+class TestRowEdit:
+    def test_append_and_keep(self):
+        cfg = config_from_dict(CONFIG)
+        state = marked_state(cfg, 2)
+        before = {n: a.copy() for n, a in row_arrays(state).items()}
+        parents = np.array([4, 0, 4, 7])
+        positions = np.random.default_rng(3).normal(size=(4, 3))
+        state.edit_rows(parents=parents, positions=positions)
+        rows = row_arrays(state)
+        for name, arr in rows.items():
+            assert arr.shape[0] == state.scene.n == 34, name
+            np.testing.assert_array_equal(arr[:30], before[name], err_msg=name)
+            new = arr[30:]
+            if name == "scene.positions":
+                np.testing.assert_array_equal(new, positions)
+            elif name in ZERO_WHEN_APPENDED or name[:2] in ("m.", "v."):
+                assert not new.any(), name
+            else:
+                np.testing.assert_array_equal(new, before[name][parents], err_msg=name)
+        keep = np.array([33, 0, 5, 31])
+        state.edit_rows(keep=keep)
+        for name, arr in row_arrays(state).items():
+            np.testing.assert_array_equal(arr, rows[name][keep], err_msg=name)
+        np.testing.assert_array_equal(state.partition.static_indices,
+                                      np.where(~rows["dynamic"][keep])[0])
+
+    def test_densify_then_level_advance(self):
+        """Every splat densifies: 0-9 clone, 10-29 split; 3 and 12 are
+        transparent, so they, their clone and 12's children are pruned."""
+        cfg = config_from_dict({**CONFIG, "densify.start": 1, "densify.interval": 1})
+        state = marked_state(cfg, 4)
+        state.scene.log_scales[:10] = np.log(0.001)
+        state.scene.log_scales[10:] = np.log(0.2)
+        state.scene.opacity_logits[[3, 12]] = -10.0
+        before = {n: a.copy() for n, a in row_arrays(state).items()}
+
+        def check():
+            rows = row_arrays(state)
+            for name, arr in rows.items():
+                assert arr.shape[0] == state.scene.n, name
+            # row identity: the original row with the same colour
+            same = (state.scene.colors[:, None] == before["scene.colors"][None]).all(axis=2)
+            origin = same.argmax(axis=1)
+            ids = rows["m.positions"][:, 0]
+            kept = ids > 0
+            np.testing.assert_array_equal(ids[kept], origin[kept] + 1)
+            for name in ROW_PARAMS:
+                for m in ("m.", "v."):
+                    np.testing.assert_array_equal(
+                        rows[m + name][kept], before[m + name][origin[kept]])
+                    assert not rows[m + name][~kept].any()
+            for name in ("dynamic", "scores", "features", "scene.quaternions"):
+                np.testing.assert_array_equal(rows[name], before[name][origin])
+            return origin, kept
+
+        assert densify_and_prune(state, 1, cfg.densify(), cfg.render_settings().lod)
+        origin, kept = check()
+        # kept rows in order, then the clones, then two children per split
+        cloned = np.delete(np.arange(10), 3)
+        split = np.repeat(np.delete(np.arange(10, 30), 2), 2)
+        np.testing.assert_array_equal(origin, np.concatenate([cloned, cloned, split]))
+        np.testing.assert_array_equal(kept, np.arange(state.scene.n) < 9)
+        assert not state.grad_accum.any() and not state.grad_count.any()
+
+        state.scene.importance = np.random.default_rng(5).uniform(size=state.scene.n)
+        n = state.scene.n
+        advance_scene_level(state, cfg.render_settings().lod)
+        assert state.scene.n == n - int(0.1 * n)
+        assert np.all(state.scene.levels == 2)
+        check()
+
+
+class TestRegistry:
+    def test_every_parameter_list_follows_the_registry(self, tmp_path):
+        """A new optimized array fails here unless it is registered in
+        SCENE_PARAMS or FIELD_PARAMS."""
+        names = list(SCENE_PARAMS + FIELD_PARAMS)
+        cfg = config_from_dict(CONFIG)
+        state = initial_state(cfg)
+        cam, target, t = Clip().train_frames()[0]
+        _, grads, _ = frame_loss_and_grads(state, cam, target, t, 0.5, 0.0,
+                                           cfg.render_settings(), cfg.loss_weights())
+        assert list(grads.grads) == names
+        assert [n for n, _ in grads.scene_items() + grads.field_items()] == names
+        assert list(param_arrays(state.scene, state.fieldp)) == names
+        assert list(state.adam.m) == list(state.adam.v) == names
+        assert list(learning_rates(cfg, 1)) == names
+        assert set(SCENE_PARAMS) <= set(state.scene.per_gaussian_arrays())
+        save_checkpoint(tmp_path / "s.kgs", state, CONFIG)
+        arrays, _ = read_checkpoint(tmp_path / "s.kgs")
+        assert [n for n in arrays if f"adam_m_{n}" in arrays] == names
 
 
 class TestDensifyCap:
