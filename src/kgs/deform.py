@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .gaussians import InvalidInputError, NumericalError
 
 OFFSET_DIM = 9  # dx(3) + d_rot(3) + d_scale(3)
+
+KNN_BLOCK = 32  # query rows per brute-force block: the distance temporary is KNN_BLOCK x N
 
 # The FieldParams arrays the optimizer updates: predictor, fine head, features.
 FIELD_PARAMS = ("w1", "b1", "w2", "b2", "fine_w1", "fine_b1", "fine_w2", "fine_b2",
@@ -296,29 +297,35 @@ def fine_offsets_backward(params: FieldParams, cache, d_offsets):
 def build_neighbor_table(positions, k):
     """(N, k') neighbor indices for every row of positions, self excluded.
 
-    Uses a KD-tree; ties resolve by the tree's deterministic traversal. With
-    k = 0 the table has no columns, and with a single row it degenerates to
-    the row itself; either way callers fall back to the splat's own offsets.
+    Exact brute-force search in blocks of KNN_BLOCK rows: k' = min(k, N - 1)
+    nearest first; equal squared distances (summed x, y, z) go to the lower
+    index. With k = 0 the table has no columns, and with a single row it
+    degenerates to the row itself; either way callers fall back to the
+    splat's own offsets.
     """
     positions = np.asarray(positions, dtype=float)
+    bad = ~np.isfinite(positions).all(axis=1)
+    if bad.any():
+        raise InvalidInputError(f"non-finite position in row {int(np.argmax(bad))}")
     n = positions.shape[0]
     if n == 0 or k == 0:
         return np.zeros((n, 0), dtype=int)
     if n == 1:
         return np.zeros((1, 1), dtype=int)
     k_eff = min(k, n - 1)
-    tree = cKDTree(positions)
-    _, idx = tree.query(positions, k=k_eff + 1, workers=1)
-    idx = np.atleast_2d(idx)
     table = np.empty((n, k_eff), dtype=int)
-    for i in range(n):
-        row = idx[i]
-        row = row[row != i][:k_eff]
-        if row.size < k_eff:
-            # self did not appear (an exact-duplicate neighbor took its slot)
-            extra = np.setdiff1d(idx[i], np.append(row, i))[: k_eff - row.size]
-            row = np.append(row, extra)
-        table[i] = row
+    for start in range(0, n, KNN_BLOCK):
+        stop = min(start + KNN_BLOCK, n)
+        d2 = np.square(positions[start:stop, 0, None] - positions[:, 0])
+        for axis in range(1, positions.shape[1]):
+            d2 += np.square(positions[start:stop, axis, None] - positions[:, axis])
+        # self is NaN: it partitions last and fails every <= test
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.nan
+        kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1, None]
+        r, c = np.nonzero(d2 <= kth)  # row-major, so r is sorted
+        order = np.lexsort((c, d2[r, c], r))  # by row, distance, index
+        first = np.searchsorted(r, np.arange(stop - start))
+        table[start:stop] = c[order][first[:, None] + np.arange(k_eff)]
     return table
 
 

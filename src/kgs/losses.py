@@ -1,15 +1,15 @@
 """Training objective terms and image metrics.
 
 The photometric loss mixes mean absolute error with structural dissimilarity
-(11x11 Gaussian window, sigma 1.5, unit dynamic range, zero-padded 'same'
-convolutions, channels averaged). Offset and anisotropy regularizers keep
-static regions still and splat aspect ratios bounded. Every term has an
-exact analytic backward, validated against central differences in the tests.
+(11x11 Gaussian window, sigma 1.5, unit dynamic range, channels averaged;
+the window is two zero-padded 'same' 1-D numpy passes, H then W, each summed
+in scipy.ndimage's order). Offset and anisotropy regularizers keep static
+regions still and splat aspect ratios bounded. Every term has an exact
+analytic backward, validated against central differences in the tests.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .gaussians import InvalidInputError
 
@@ -30,9 +30,23 @@ def _window1d():
 _W1D = _window1d()
 
 
-def _blur(img2d):
-    out = convolve1d(img2d, _W1D, axis=0, mode="constant", cval=0.0)
-    return convolve1d(out, _W1D, axis=1, mode="constant", cval=0.0)
+def _blur(stack):
+    """Window every (H, W) map of a (..., H, W) stack. Each pass starts from
+    the centre tap, then adds (x[i-h+j] + x[i+h-j]) * w[j] for j = 0..h-1."""
+    half = SSIM_WINDOW // 2
+    for axis in (stack.ndim - 2, stack.ndim - 1):
+        n = stack.shape[axis]
+
+        def cut(lo):
+            return (slice(None),) * axis + (slice(lo, lo + n),)
+
+        padded = np.zeros(stack.shape[:axis] + (n + 2 * half,) + stack.shape[axis + 1:])
+        padded[cut(half)] = stack
+        out = stack * _W1D[half]
+        for j in range(half):
+            out += (padded[cut(j)] + padded[cut(2 * half - j)]) * _W1D[j]
+        stack = out
+    return stack
 
 
 def ssim(a, b):
@@ -47,48 +61,41 @@ def ssim(a, b):
     if a.ndim == 2:
         a = a[..., None]
         b = b[..., None]
-    caches = []
-    vals = []
-    for c in range(a.shape[2]):
-        x, y = a[..., c], b[..., c]
-        mu_x, mu_y = _blur(x), _blur(y)
-        xx, yy, xy = _blur(x * x), _blur(y * y), _blur(x * y)
-        var_x = xx - mu_x**2
-        var_y = yy - mu_y**2
-        cov = xy - mu_x * mu_y
-        a1 = 2 * mu_x * mu_y + SSIM_C1
-        a2 = 2 * cov + SSIM_C2
-        b1 = mu_x**2 + mu_y**2 + SSIM_C1
-        b2 = var_x + var_y + SSIM_C2
-        smap = (a1 * a2) / (b1 * b2)
-        vals.append(smap.mean())
-        caches.append((x, y, mu_x, mu_y, a1, a2, b1, b2))
-    return float(np.mean(vals)), caches
+    # channel-first (C, H, W) maps; each blur call covers every channel
+    x, y = (np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in (a, b))
+    mu_x, mu_y, xx, yy, xy = (_blur(m) for m in (x, y, x * x, y * y, x * y))
+    var_x = xx - mu_x**2
+    var_y = yy - mu_y**2
+    cov = xy - mu_x * mu_y
+    a1 = 2 * mu_x * mu_y + SSIM_C1
+    a2 = 2 * cov + SSIM_C2
+    b1 = mu_x**2 + mu_y**2 + SSIM_C1
+    b2 = var_x + var_y + SSIM_C2
+    smap = (a1 * a2) / (b1 * b2)
+    return float(np.mean([m.mean() for m in smap])), (x, y, mu_x, mu_y, a1, a2, b1, b2)
 
 
-def ssim_backward(caches, d_value=1.0):
+def ssim_backward(cache, d_value=1.0):
     """Gradient of ssim(a, b) with respect to the first image."""
-    n_ch = len(caches)
-    grads = []
-    for (x, y, mu_x, mu_y, a1, a2, b1, b2) in caches:
-        scale = d_value / (n_ch * x.size)
-        denom = b1 * b2
-        d_a1 = scale * a2 / denom
-        d_a2 = scale * a1 / denom
-        d_b1 = -scale * a1 * a2 / (b1 * denom)
-        d_b2 = -scale * a1 * a2 / (b2 * denom)
-        # a1, b1 depend on mu_x; a2 on cov; b2 on var_x
-        d_mu = 2 * mu_y * d_a1 + 2 * mu_x * d_b1
-        d_cov = 2 * d_a2
-        d_var = d_b2
-        # var_x = blur(x^2) - mu_x^2, cov = blur(x*y) - mu_x*mu_y
-        d_xx = d_var
-        d_xy = d_cov
-        d_mu = d_mu - 2 * mu_x * d_var - mu_y * d_cov
-        # adjoint of the zero-padded separable blur is the same blur
-        d_x = _blur(d_mu) + _blur(d_xx) * 2 * x + _blur(d_xy) * y
-        grads.append(d_x)
-    return np.stack(grads, axis=-1)
+    x, y, mu_x, mu_y, a1, a2, b1, b2 = cache
+    scale = d_value / x.size
+    denom = b1 * b2
+    d_a1 = scale * a2 / denom
+    d_a2 = scale * a1 / denom
+    d_b1 = -scale * a1 * a2 / (b1 * denom)
+    d_b2 = -scale * a1 * a2 / (b2 * denom)
+    # a1, b1 depend on mu_x; a2 on cov; b2 on var_x
+    d_mu = 2 * mu_y * d_a1 + 2 * mu_x * d_b1
+    d_cov = 2 * d_a2
+    d_var = d_b2
+    # var_x = blur(x^2) - mu_x^2, cov = blur(x*y) - mu_x*mu_y
+    d_xx = d_var
+    d_xy = d_cov
+    d_mu = d_mu - 2 * mu_x * d_var - mu_y * d_cov
+    # adjoint of the zero-padded separable blur is the same blur
+    b_mu, b_xx, b_xy = (_blur(m) for m in (d_mu, d_xx, d_xy))
+    d_x = b_mu + b_xx * 2 * x + b_xy * y
+    return np.ascontiguousarray(np.moveaxis(d_x, 0, -1))  # the image's (H, W, C) layout
 
 
 def image_loss(img, gt, lambda_dssim=0.2):

@@ -158,9 +158,18 @@ class ParamGrads:
 # pose stage: deformation, gating, refinement
 # ---------------------------------------------------------------------------
 
+def _check_pose(n, *per_splat):
+    """Raise, naming the first splat with a non-finite row in any array."""
+    bad = ~np.all([np.isfinite(a.reshape(n, -1)).all(axis=1) for a in per_splat], axis=0)
+    if bad.any():
+        raise NumericalError("pose stage: non-finite position or covariance for "
+                             f"splat {int(np.argmax(bad))}")
+
+
 def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
                   blur_dt, noise_sigma, rng, s: RenderSettings):
     n = scene.n
+    _check_pose(n, scene.positions, scene.quaternions, scene.log_scales)
     dyn = partition.dynamic_mask()
     dyn_idx = np.where(dyn)[0]
     q_n = quat_normalize(scene.quaternions)
@@ -207,9 +216,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             U, cov_pred[ridx], R_pred[ridx, :, 2], E[ridx], speed[ridx],
             ds_r[ridx], blur_dt, s.kappa, s.lambda_s)
 
-    bad = ~np.isfinite(cov_render.reshape(n, -1)).all(axis=1) | ~np.isfinite(pos_t).all(axis=1)
-    if bad.any():
-        raise NumericalError(f"non-finite pose for gaussian {int(np.where(bad)[0][0])}")
+    _check_pose(n, pos_t, cov_render)
 
     colors_c = np.clip(scene.colors, 0.0, 1.0)
     color_mask = (scene.colors > 0.0) & (scene.colors < 1.0)
@@ -536,8 +543,8 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,
                                                        settings, scene.n)
     if not np.all(np.isfinite(image)):
-        bad = np.argwhere(~np.isfinite(image))[0]
-        raise NumericalError(f"non-finite pixel at {tuple(bad[:2])}")
+        y, x = np.argwhere(~np.isfinite(image))[0, :2]
+        raise NumericalError(f"raster stage: non-finite pixel at ({y}, {x})")
     frame = RenderedFrame(image=np.clip(image, 0.0, 1.0), transmittance=trans,
                           importance=importance)
     if not want_tape:

@@ -363,8 +363,11 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
         terms_sum = None
         for j in picks:
             cam, target, t = frames[j]
-            terms, g, frame = frame_loss_and_grads(state, cam, target, t, dt,
-                                                   sigma, settings, weights)
+            try:
+                terms, g, frame = frame_loss_and_grads(state, cam, target, t, dt,
+                                                       sigma, settings, weights)
+            except NumericalError as err:
+                raise NumericalError(f"iteration {k}: {err}") from err
             state.scene.importance += frame.importance
             grads = g if grads is None else grads.add_(g)
             terms_sum = (terms if terms_sum is None else

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgs.deform import (
     NoiseSchedule,
@@ -284,4 +286,30 @@ class TestKnn:
         for q in rng.integers(0, 500, 25):
             d2 = np.sum((pos - pos[q]) ** 2, axis=1)
             order = [i for i in np.argsort(d2, kind="stable") if i != q][:8]
-            assert set(table[q]) == set(order)
+            np.testing.assert_array_equal(table[q], order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ties_and_coincident_points(self, data):
+        """Integer-grid positions: nearest first, equal distances by index."""
+        n = data.draw(st.integers(1, 40))
+        k = data.draw(st.integers(0, n + 2))
+        coords = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+        pos = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
+        table = build_neighbor_table(pos, k)
+        assert table.dtype == int
+        if n == 1 and k >= 1:
+            np.testing.assert_array_equal(table, [[0]])
+            return
+        assert table.shape == (n, min(k, n - 1))
+        for i in range(n):
+            d2 = [(sum((pos[j, a] - pos[i, a]) ** 2 for a in range(3)), j)
+                  for j in range(n) if j != i]
+            assert list(table[i]) == [j for _, j in sorted(d2)][:min(k, n - 1)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row(self, bad):
+        pos = np.random.default_rng(3).normal(size=(6, 3))
+        pos[4, 1] = bad
+        with pytest.raises(InvalidInputError, match="row 4"):
+            build_neighbor_table(pos, 3)

@@ -3,6 +3,9 @@ import pytest
 
 from kgs.gaussians import InvalidInputError
 from kgs.losses import (
+    SSIM_SIGMA,
+    SSIM_WINDOW,
+    _blur,
     ani_loss,
     ani_loss_backward,
     image_loss,
@@ -51,6 +54,39 @@ class TestSSIM:
             am[idx] -= h
             fd = (ssim(ap, b)[0] - ssim(am, b)[0]) / (2 * h)
             assert abs(grad[idx] - fd) < 1e-6
+
+
+class TestWindow:
+    def stack(self):
+        return np.random.default_rng(7).uniform(0, 1, (2, 3, 13, 17))
+
+    def test_stack_matches_each_map(self):
+        stack = self.stack()
+        out = _blur(stack)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[idx], _blur(stack[idx]))
+
+    def test_matches_2d_window_sum(self):
+        """Zero-padded 'same' 11x11 Gaussian window, sigma 1.5, per pixel."""
+        stack = self.stack()
+        x = np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2
+        w = np.exp(-0.5 * (x / SSIM_SIGMA) ** 2)
+        w2d = np.outer(w, w) / w.sum() ** 2
+        half = SSIM_WINDOW // 2
+        padded = np.pad(stack, [(0, 0), (0, 0), (half, half), (half, half)])
+        want = np.empty_like(stack)
+        for i, j in np.ndindex(13, 17):
+            window = padded[..., i:i + SSIM_WINDOW, j:j + SSIM_WINDOW]
+            want[..., i, j] = np.sum(window * w2d, axis=(-2, -1))
+        assert np.abs(_blur(stack) - want).max() <= 1e-15
+
+    def test_gray_image_is_one_channel(self):
+        rng = np.random.default_rng(8)
+        a, b = rand_img(rng, 9, 14)[..., 0], rand_img(rng, 9, 14)[..., 0]
+        v2, cache2 = ssim(a, b)
+        v3, cache3 = ssim(a[..., None], b[..., None])
+        assert v2 == v3
+        np.testing.assert_array_equal(ssim_backward(cache2), ssim_backward(cache3))
 
 
 class TestImageLoss:

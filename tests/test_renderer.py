@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -246,23 +248,55 @@ def train_frame(scene, fieldp, partition, table, cam, settings=SETTINGS):
                   dt=0.125, neighbor_table=table)
 
 
+def fd_case(case):
+    """deep_scene(4) set up so that render_backward takes one branch."""
+    scene, fieldp, partition, table, cam = deep_scene(4)
+    settings = SETTINGS
+    if case == "coarse_fine_off":
+        settings = replace(SETTINGS, coarse_fine=False)
+    elif case == "all_static":
+        partition, table = classify(np.zeros(scene.n), 0.5), None
+    elif case == "below_velocity_floor":
+        # the floor halfway between the two middle dynamic speeds
+        offsets = train_frame(scene, fieldp, partition, table, cam)[1].pose["offsets"]
+        speed = np.sort(np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1) / 0.125)
+        m = speed.size // 2
+        settings = replace(SETTINGS, velocity_floor=0.5 * (speed[m - 1] + speed[m]))
+    elif case == "behind_camera":
+        scene.positions[partition.static_indices[0], 2] = -4.0
+    return scene, fieldp, partition, table, cam, settings
+
+
 class TestBackward:
-    def test_central_differences(self):
-        scene, fieldp, partition, table, cam = deep_scene(4)
-        frame, tape = train_frame(scene, fieldp, partition, table, cam)
+    @pytest.mark.parametrize("case", ["generic", "coarse_fine_off", "all_static",
+                                      "below_velocity_floor", "behind_camera"])
+    def test_central_differences(self, case):
+        scene, fieldp, partition, table, cam, settings = fd_case(case)
+        frame, tape = train_frame(scene, fieldp, partition, table, cam, settings)
+        pose = tape.pose
         assert max(t.size for t in tape.tiles) > 2 * CHUNK
-        assert tape.pose["ridx"].size > 0
         assert 0.0 < frame.image.min() and frame.image.max() < 1.0
         assert frame.transmittance.min() > TRANSMITTANCE_CUTOFF
+        assert pose["cf_active"] == (case not in ("coarse_fine_off", "all_static"))
+        if case == "all_static":
+            assert pose["dyn_idx"].size == 0 and pose["ridx"].size == 0
+        elif case == "below_velocity_floor":
+            assert 0 < pose["ridx"].size < pose["dyn_idx"].size
+        else:
+            assert pose["ridx"].size == pose["dyn_idx"].size > 0
         rng = np.random.default_rng(5)
         weights = rng.normal(size=frame.image.shape)
         grads = render_backward(tape, weights, fieldp)
         analytic = dict(grads.scene_items() + grads.field_items())
         params = param_arrays(scene, fieldp)
         assert set(analytic) == set(params)
+        if case == "behind_camera":
+            hidden = partition.static_indices[0]
+            assert not tape.proj["valid"][hidden]
+            assert np.all(analytic["positions"][hidden] == 0.0)
 
         def loss():
-            img = train_frame(scene, fieldp, partition, table, cam)[0].image
+            img = train_frame(scene, fieldp, partition, table, cam, settings)[0].image
             return float(np.sum(weights * img))
 
         h = 1e-6

@@ -7,7 +7,7 @@ import kgs.scene
 from kgs.config import config_from_dict
 from kgs.decomposition import all_dynamic_partition, classify
 from kgs.deform import FIELD_PARAMS, build_neighbor_table, init_field_params
-from kgs.gaussians import Camera, InvalidInputError
+from kgs.gaussians import Camera, InvalidInputError, NumericalError
 from kgs.scene import SCENE_PARAMS, random_scene, read_checkpoint, write_checkpoint
 from kgs.train import (
     ROW_PARAMS,
@@ -85,6 +85,20 @@ class TestNoNeighbors:
         state, losses, _ = run(cfg, iterations=3)
         assert state.neighbor_table.shape == (state.partition.dynamic_indices.size, 0)
         assert np.all(np.isfinite(losses)) and len(losses) == 3
+
+
+class TestErrors:
+    def test_names_stage_splat_and_iteration(self):
+        cfg = config_from_dict(CONFIG)
+        state = initial_state(cfg)
+        dynamic = np.ones(state.scene.n, dtype=bool)
+        dynamic[7] = False
+        state.partition = classify(dynamic.astype(float), 0.5)
+        state.neighbor_table = build_neighbor_table(state.scene.positions[dynamic],
+                                                    cfg.k_neighbors)
+        state.scene.log_scales[7, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"^iteration 1: pose stage: .*splat 7$"):
+            run(cfg, iterations=2, state=state)
 
 
 # Densify at 3, 6, 9 and 12, partition at 4, 8 and 12 (leaving static
