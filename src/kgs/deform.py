@@ -151,8 +151,9 @@ def mlp_forward(x, w1, b1, w2, b2, layer_name="predictor"):
     h_pre = x @ w1.T + b1
     h = np.maximum(h_pre, 0.0)
     out = h @ w2.T + b2
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"non-finite output in {layer_name} output layer")
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"{layer_name}: non-finite output in row {int(np.argmax(bad))}")
     return out, (x, h_pre, h)
 
 
@@ -276,7 +277,7 @@ def fine_offsets_batch(params: FieldParams, feature_rows, t, clamps: OffsetClamp
     inputs = np.concatenate([feature_rows,
                              np.broadcast_to(enc_t, (n, enc_t.size))], axis=1)
     raw, mlp_cache = mlp_forward(inputs, params.fine_w1, params.fine_b1,
-                                 params.fine_w2, params.fine_b2, "fine residual")
+                                 params.fine_w2, params.fine_b2, "fine head")
     clamped, clamp_cache = clamp_offsets(raw, clamps)
     return clamped, {"mlp": mlp_cache, "clamp": clamp_cache,
                      "feature_dim": feature_rows.shape[1]}

@@ -118,7 +118,8 @@ def image_loss_backward(cache, d_value=1.0):
     diff, s_cache, lambda_dssim = cache
     g = d_value * (1.0 - lambda_dssim) * np.sign(diff) / diff.size
     if s_cache is not None:
-        g = g + ssim_backward(s_cache, -d_value * lambda_dssim)
+        # ssim treats a grey (H, W) image as (H, W, 1)
+        g = g + ssim_backward(s_cache, -d_value * lambda_dssim).reshape(diff.shape)
     return g
 
 

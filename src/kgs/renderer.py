@@ -22,11 +22,19 @@ three of its operations are pixels x splats. The backward sums d q over rows
 and over columns and weights the sums by dx and dy: only the cross moment
 needs a full-size product.
 
+Every pixels x splats array is a C-contiguous view of a per-thread
+workspace (see _views), so no slice allocates one. The chunk step computes
+in place: G is exp(-0.5 q) times the footprint mask, and one scan buffer
+holds [t_in, 1 - alpha] for the running product. The backward's re-run
+skips the forward's t_out gather, divides by the kept 1 - alpha, and uses
+one buffer for d_alpha G and then for d_q.
+
 Tiles are independent: they may run on a thread pool, and results merge in
 fixed tile order, so renders are bit-identical for any thread count.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -80,6 +88,7 @@ from .scene import SCENE_PARAMS
 CHUNK = 64
 
 _POOLS: dict = {}
+_SCRATCH = threading.local()    # per-thread compositor workspace, see _views
 
 
 def _pool(threads):
@@ -374,7 +383,20 @@ def _pixel_axes(rect):
     return np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5
 
 
-def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings):
+def _views(tile, rows, p, k):
+    """C-contiguous (p, k) views of this thread's scratch rows: float64 rows
+    0-10 and bool rows 11-12 of tile * tile * (CHUNK + 1) entries, made on
+    first use (again for a larger tile). The chunk step uses rows 0-6, 11
+    and 12, the tile backward rows 7-10 and 11."""
+    size = tile * tile * (CHUNK + 1)
+    if getattr(_SCRATCH, "size", 0) < size:
+        _SCRATCH.size = size
+        _SCRATCH.rows = [*np.empty((11, size)), *np.empty((2, size), dtype=bool)]
+    return [_SCRATCH.rows[i][:p * k].reshape(p, k) for i in rows]
+
+
+def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings,
+                want_t_out=True):
     """Composite the row-major pixel grid of columns xs and rows ys,
     entering with transmittance t_in, against one depth-ordered slice idx of
     a tile's splats.
@@ -383,23 +405,35 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings):
     sequential product as over the whole tile. The splats a pixel processes
     are a prefix of its list; the returned t_out is the transmittance after
     its last processed one, which is both the seed of the next slice and,
-    after the last slice, the pixel's final transmittance.
+    after the last slice, the pixel's final transmittance (None unless
+    want_t_out). The (pixels, splats) results are views into this thread's
+    workspace, valid only until the next chunk step on that thread.
     """
+    p, k = t_in.size, idx.size
+    q, G, alpha_raw, alpha, w, inside, proc = _views(s.tile, (0, 1, 2, 3, 4, 11, 12), p, k)
+    scan, T = _views(s.tile, (5, 6), p, k + 1)
     dx = xs[:, None] - mean2d[idx, 0]
     dy = ys[:, None] - mean2d[idx, 1]
     a, b, c = conic[idx].T
-    q = (a * dx * dx)[None] + (2.0 * b * dx)[None] * dy[:, None]
-    q += (c * dy * dy)[:, None]
-    q = q.reshape(-1, idx.size)
-    G = np.where(q <= s.chi2, np.exp(-0.5 * q), 0.0)
-    alpha_raw = opac[idx] * G
-    alpha = np.minimum(alpha_raw, s.alpha_max)
-    T = np.cumprod(np.concatenate([t_in[:, None], 1.0 - alpha], axis=1), axis=1)
+    q3 = q.reshape(ys.size, xs.size, k)
+    np.multiply((2.0 * b * dx)[None], dy[:, None], out=q3)
+    q3 += (a * dx * dx)[None]
+    q3 += (c * dy * dy)[:, None]
+    # exp(-0.5 q) masked by a product, as np.where would: exp is finite at q >= 0
+    np.multiply(q, -0.5, out=G)
+    np.exp(G, out=G)
+    G *= np.less_equal(q, s.chi2, out=inside)
+    np.multiply(opac[idx], G, out=alpha_raw)
+    np.minimum(alpha_raw, s.alpha_max, out=alpha)
+    scan[:, 0] = t_in
+    one_minus_alpha = np.subtract(1.0, alpha, out=scan[:, 1:])
+    np.cumprod(scan, axis=1, out=T)
     t_before = T[:, :-1]
-    proc = t_before >= s.cutoff
-    w = alpha * t_before * proc
-    t_out = T[np.arange(T.shape[0]), proc.sum(axis=1)]
-    return dx, dy, q, G, alpha_raw, alpha, t_before, proc, w, t_out
+    np.greater_equal(t_before, s.cutoff, out=proc)
+    np.multiply(alpha, t_before, out=w)
+    w *= proc
+    t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
+    return dx, dy, q, G, alpha_raw, one_minus_alpha, t_before, proc, w, t_out
 
 
 def _chunks(idx):
@@ -436,28 +470,32 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
     behind = (p @ s.background) * t_final.reshape(-1)
     grads = np.empty((idx.size, 9))
     for j, (lo, sl) in reversed(list(enumerate(_chunks(idx)))):
-        dx, dy, _, G, alpha_raw, alpha, t_before, proc, w, _ = _chunk_step(
-            sl, xs, ys, starts[j], mean2d, conic, opac, s)
-        d_w = p @ colors[sl].T
+        dx, dy, _, G, alpha_raw, one_minus_alpha, t_before, proc, w, _ = _chunk_step(
+            sl, xs, ys, starts[j], mean2d, conic, opac, s, want_t_out=False)
+        d_w, d_alpha, tmp, keep = _views(s.tile, (7, 8, 9, 11), p.shape[0], sl.size)
+        acc, = _views(s.tile, (10,), p.shape[0], sl.size + 1)
+        np.matmul(p, colors[sl].T, out=d_w)
         # acc[:, i]: behind + the contributions d_w * w of the slice's last i
         # splats, so acc[:, -2::-1][:, k] sums everything behind splat k
-        acc = np.empty((p.shape[0], sl.size + 1))
         acc[:, 0] = behind
         np.multiply(d_w[:, ::-1], w[:, ::-1], out=acc[:, 1:])
         np.cumsum(acc, axis=1, out=acc)
         behind = acc[:, -1].copy()
-        d_alpha = d_w * t_before - acc[:, -2::-1] / (1.0 - alpha)
-        d_alpha *= proc & (alpha_raw <= s.alpha_max)   # d/d alpha_raw
+        np.multiply(d_w, t_before, out=d_alpha)
+        d_alpha -= np.divide(acc[:, -2::-1], one_minus_alpha, out=tmp)
+        np.less_equal(alpha_raw, s.alpha_max, out=keep)
+        d_alpha *= np.logical_and(keep, proc, out=keep)   # d/d alpha_raw
         g = grads[lo:lo + sl.size]
-        g[:, 5] = (d_alpha * G).sum(axis=0)
-        d_q = d_alpha * opac[sl]
-        d_q *= -0.5 * G
+        g[:, 5] = np.multiply(d_alpha, G, out=tmp).sum(axis=0)
+        # d_q = d_alpha * opac * (-0.5 G), with the exact factor -0.5 on opac
+        d_q = np.multiply(d_alpha, -0.5 * opac[sl], out=tmp)
+        d_q *= G
         # moments of d_q against dx, dy: sum over the grid's rows (per
         # column) or its columns (per row), then weight by dx or dy
         d_q = d_q.reshape(ys.size, xs.size, sl.size)
         per_col = d_q.sum(axis=0)
         per_row = d_q.sum(axis=1)
-        per_col_y = (d_q * dy[:, None]).sum(axis=0)
+        per_col_y = np.multiply(d_q, dy[:, None], out=d_alpha.reshape(d_q.shape)).sum(axis=0)
         sx, sy = (per_col * dx).sum(axis=0), (per_row * dy).sum(axis=0)
         a, b, c = conic[sl].T
         g[:, 0] = -(2.0 * a * sx + 2.0 * b * sy)

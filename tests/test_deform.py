@@ -20,7 +20,7 @@ from kgs.deform import (
     predict_offsets_backward,
     predict_offsets_batch,
 )
-from kgs.gaussians import InvalidInputError
+from kgs.gaussians import InvalidInputError, NumericalError
 
 CLAMPS = OffsetClamps()
 
@@ -216,6 +216,26 @@ class TestFineHead:
             dn = np.sum(fine_offsets_batch(params, fm, 0.6, CLAMPS)[0] * d_out)
             fd = (up - dn) / (2 * h)
             assert abs(d_f[idx] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+class TestNonFiniteOutput:
+    """The MLP check names the layer and the first row it cannot finish."""
+
+    def test_predictor_names_row(self):
+        rng = np.random.default_rng(10)
+        params = random_field(rng, 8)
+        positions, quats, log_scales = random_inputs(rng, 8)
+        positions[[5, 7], 1] = np.nan
+        with pytest.raises(NumericalError, match=r"^predictor: non-finite output in row 5$"):
+            predict_offsets_batch(params, positions, quats, log_scales, 0.3, 0.0, None, CLAMPS)
+
+    def test_fine_head_names_row(self):
+        rng = np.random.default_rng(11)
+        params = random_field(rng, 5)
+        f = rng.normal(size=(5, 16))
+        f[3, 2] = np.nan
+        with pytest.raises(NumericalError, match=r"^fine head: non-finite output in row 3$"):
+            fine_offsets_batch(params, f, 0.4, CLAMPS)
 
 
 class TestCoarseAggregation:

@@ -119,6 +119,20 @@ class TestImageLoss:
             fd = (image_loss(ap, b, 0.2)[0] - image_loss(am, b, 0.2)[0]) / (2 * h)
             assert abs(grad[idx] - fd) < 1e-6
 
+    def test_grey_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(0, 1, (7, 5)), rng.uniform(0, 1, (7, 5))
+        _, cache = image_loss(a, b, 0.2)
+        grad = image_loss_backward(cache)
+        assert grad.shape == a.shape
+        h = 1e-6
+        for idx in np.ndindex(a.shape):
+            ap, am = a.copy(), a.copy()
+            ap[idx] += h
+            am[idx] -= h
+            fd = (image_loss(ap, b, 0.2)[0] - image_loss(am, b, 0.2)[0]) / (2 * h)
+            assert abs(grad[idx] - fd) < 1e-6
+
     def test_small_image_works(self):
         # 8x8 is smaller than the 11x11 window; zero-padded stats still defined
         rng = np.random.default_rng(6)

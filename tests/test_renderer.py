@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kgs import renderer
 from kgs.decomposition import classify
-from kgs.deform import build_neighbor_table, init_field_params
+from kgs.deform import OffsetClamps, build_neighbor_table, init_field_params
 from kgs.gaussians import FOOTPRINT_RADIUS, TRANSMITTANCE_CUTOFF, Camera, project
 from kgs.renderer import (
     CHUNK,
@@ -259,17 +260,35 @@ def fd_case(case):
     elif case == "below_velocity_floor":
         # the floor halfway between the two middle dynamic speeds
         offsets = train_frame(scene, fieldp, partition, table, cam)[1].pose["offsets"]
-        speed = np.sort(np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1) / 0.125)
-        m = speed.size // 2
-        settings = replace(SETTINGS, velocity_floor=0.5 * (speed[m - 1] + speed[m]))
+        speed = np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1) / 0.125
+        settings = replace(SETTINGS, velocity_floor=halfway(speed))
     elif case == "behind_camera":
         scene.positions[partition.static_indices[0], 2] = -4.0
+    elif case == "clamp_saturation":
+        # each clamp halfway between the two middle dynamic predictor outputs
+        raw = train_frame(scene, fieldp, partition, table, cam)[1].pose["raw"]
+        raw = raw[partition.dynamic_indices]
+        settings = replace(SETTINGS, clamps=OffsetClamps(
+            max_dx_norm=halfway(np.linalg.norm(raw[:, 0:3], axis=1)),
+            max_dr_norm=halfway(np.linalg.norm(raw[:, 3:6], axis=1)),
+            max_ds_abs=halfway(np.abs(raw[:, 6:9]))))
+    elif case == "empty_tile":
+        # the rightmost tiles lie past every splat's extent
+        cam = replace(cam, width=64)
     return scene, fieldp, partition, table, cam, settings
+
+
+def halfway(values):
+    """The point halfway between the two middle values."""
+    v = np.sort(values.ravel())
+    m = v.size // 2
+    return 0.5 * (v[m - 1] + v[m])
 
 
 class TestBackward:
     @pytest.mark.parametrize("case", ["generic", "coarse_fine_off", "all_static",
-                                      "below_velocity_floor", "behind_camera"])
+                                      "below_velocity_floor", "behind_camera",
+                                      "clamp_saturation", "empty_tile"])
     def test_central_differences(self, case):
         scene, fieldp, partition, table, cam, settings = fd_case(case)
         frame, tape = train_frame(scene, fieldp, partition, table, cam, settings)
@@ -284,6 +303,12 @@ class TestBackward:
             assert 0 < pose["ridx"].size < pose["dyn_idx"].size
         else:
             assert pose["ridx"].size == pose["dyn_idx"].size > 0
+        if case == "clamp_saturation":
+            (*_, dx_over, _), (*_, dr_over, _), ds_free = pose["pred_cache"]["clamp"]
+            for hit in (dx_over, dr_over, ~ds_free):
+                assert 0 < hit[pose["dyn_idx"]].sum() < hit[pose["dyn_idx"]].size
+        if case == "empty_tile":
+            assert min(t.size for t in tape.tiles) == 0
         rng = np.random.default_rng(5)
         weights = rng.normal(size=frame.image.shape)
         grads = render_backward(tape, weights, fieldp)
@@ -326,6 +351,43 @@ class TestBackward:
         np.testing.assert_array_equal(f1.importance, f2.importance)
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+class TestWorkspace:
+    def test_interleaved_calls(self):
+        """Renders and backwards of two scenes at two tile sizes (with partial
+        edge tiles) and of a 48x48 frame share each thread's scratch
+        workspace: every call repeats its first result exactly, nothing
+        returned aliases the workspace, and a later call changes nothing
+        returned earlier."""
+        small = deep_scene(6, opacity=0.3)
+        scene, fieldp, partition, table, cam = deep_scene(13, n=550, opacity=0.3)
+        large = scene, fieldp, partition, table, replace(cam, width=48, height=48,
+                                                          cx=24.0, cy=24.0)
+        cases = [(small, 16, 1), (large, 16, 1), (small, 6, 1), (small, 6, 2)]
+
+        def call(case):
+            (scene, fieldp, partition, table, cam), tile, threads = case
+            s = RenderSettings(background=SETTINGS.background, tile=tile, threads=threads)
+            frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
+            d_img = np.random.default_rng(tile).normal(size=frame.image.shape)
+            grads = render_backward(tape, d_img, fieldp)
+            out = [frame.image, frame.transmittance, frame.importance,
+                   tape.transmittance, *tape.chunk_starts, *grads.grads.values(),
+                   grads.densify_norm, grads.densify_count]
+            if threads == 1:
+                for buf in renderer._SCRATCH.rows:
+                    assert not any(np.shares_memory(a, buf) for a in out)
+            return out
+
+        first = [call(case) for case in cases]
+        kept = [[a.copy() for a in out] for out in first]
+        for i in (1, 0, 3, 2, 1, 2, 0, 3):
+            for got, want in zip(call(cases[i]), kept[i], strict=True):
+                np.testing.assert_array_equal(got, want)
+        for out, want in zip(first, kept):
+            for a, b in zip(out, want):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestPoseStage:
