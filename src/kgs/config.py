@@ -21,7 +21,6 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     iterations: int = 30000
     batch: int = 2
 
@@ -102,7 +101,7 @@ class RunConfig:
     def render_settings(self) -> RenderSettings:
         return RenderSettings(
             background=np.asarray(self.background, dtype=float),
-            tile=self.tile, threads=self.threads,
+            tile=self.tile,
             kappa=self.kappa, lambda_s=self.lambda_s,
             velocity_floor=self.velocity_floor,
             refine_enabled=self.kr_enabled, coarse_fine=self.cf_enabled,
@@ -145,7 +144,7 @@ class RunConfig:
 
 
 DOTTED_KEYS = {
-    "seed": "seed", "threads": "threads", "iterations": "iterations", "batch": "batch",
+    "seed": "seed", "iterations": "iterations", "batch": "batch",
     "decomp.tau": "tau", "decomp.samples": "decomp_samples",
     "decomp.warmup": "decomp_warmup", "decomp.repeat": "decomp_repeat",
     "kin.kappa": "kappa", "kin.lambda_s": "lambda_s",
@@ -182,7 +181,8 @@ DOTTED_KEYS = {
 }
 
 # Smallest value each bounded integer setting accepts.
-_MINIMUM = {"tile": 1, "k_neighbors": 0}
+_MINIMUM = {"tile": 1, "k_neighbors": 0, "batch": 1, "k_refresh": 1,
+            "densify_interval": 1, "decomp_repeat": 1, "decomp_samples": 2}
 
 
 def _is_finite_number(value):

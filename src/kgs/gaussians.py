@@ -240,12 +240,12 @@ class Camera:
 # projection
 # ---------------------------------------------------------------------------
 
-def project(pos, cov3, cam: Camera, dilation=COV2D_DILATION):
+def project(pos, cov3, cam: Camera):
     """Project (N,3) world means and (N,3,3) covariances into the image.
 
-    The projected covariance is M Sigma M^T + dilation*I with M the local
-    affine Jacobian of the pinhole map composed with the camera rotation;
-    conic is its inverse as (a, b, c) = ([0,0], [0,1], [1,1]). Rows with
+    The projected covariance is M Sigma M^T + COV2D_DILATION * I with M the
+    local affine Jacobian of the pinhole map composed with the camera
+    rotation; conic is its inverse as (a, b, c) = ([0,0], [0,1], [1,1]). Rows with
     valid == False lie in front of the near plane: their entries are
     placeholders that must not be drawn, and project_backward gives them
     zero gradient. Returns the dict project_backward takes.
@@ -264,8 +264,8 @@ def project(pos, cov3, cam: Camera, dilation=COV2D_DILATION):
     J[:, 1, 2] = -cam.fy * y * inv_z2
     M = J @ cam.rotation
     cov2d = _sym(M @ cov3 @ np.swapaxes(M, -1, -2))
-    cov2d[:, 0, 0] += dilation
-    cov2d[:, 1, 1] += dilation
+    cov2d[:, 0, 0] += COV2D_DILATION
+    cov2d[:, 1, 1] += COV2D_DILATION
     mean2d = np.stack([cam.fx * x * inv_z + cam.cx, cam.fy * y * inv_z + cam.cy], axis=-1)
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
     conic = np.stack([cov2d[:, 1, 1] / det, -cov2d[:, 0, 1] / det,

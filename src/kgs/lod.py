@@ -14,6 +14,10 @@ import numpy as np
 from .gaussians import InvalidInputError, inverse_sigmoid, sigmoid
 
 _SOLVE_FLOOR = 1e-12
+# A split replaces its parent with SPLIT_CHILDREN children whose effective
+# scale is the parent's divided by SPLIT_SCALE_FACTOR.
+SPLIT_CHILDREN = 2
+SPLIT_SCALE_FACTOR = 1.6
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,6 @@ class DensifyConfig:
     percent_dense: float = 0.01
     scene_extent: float = 3.0
     max_gaussians: int = 100000
-    split_scale_factor: float = 1.6   # children scale = parent / 1.6
-    split_children: int = 2
 
 
 def min_scale(level, cfg: LodConfig):
@@ -123,7 +125,7 @@ def densify_candidates(scene, grad_accum, grad_count, cfg_d: DensifyConfig,
     avg = grad_accum / np.maximum(grad_count, 1)
     eff = effective_scale(scene.log_scales, scene.levels, lod_cfg)
     big = eff.max(axis=1) > cfg_d.percent_dense * cfg_d.scene_extent
-    growth = np.where(big, cfg_d.split_children - 1, 1)
+    growth = np.where(big, SPLIT_CHILDREN - 1, 1)
     order = np.argsort(-avg, kind="stable")
     order = order[avg[order] > cfg_d.grad_threshold]
     hot = np.zeros(scene.n, dtype=bool)
@@ -133,15 +135,14 @@ def densify_candidates(scene, grad_accum, grad_count, cfg_d: DensifyConfig,
 
 def split_parameters(scene, split_idx, cfg_d: DensifyConfig, lod_cfg: LodConfig, rng):
     """Child parameters for a split: positions sampled inside the parent
-    footprint, scales divided by the split factor."""
+    footprint, scales divided by SPLIT_SCALE_FACTOR."""
     from .gaussians import quat_to_rotmat
-    k = cfg_d.split_children
-    idx = np.repeat(split_idx, k)
+    idx = np.repeat(split_idx, SPLIT_CHILDREN)
     eff = effective_scale(scene.log_scales[idx], scene.levels[idx], lod_cfg)
     R = quat_to_rotmat(scene.quaternions[idx])
     local = rng.normal(0.0, 1.0, (idx.size, 3)) * eff
     positions = scene.positions[idx] + np.einsum("nij,nj->ni", R, local)
-    child_eff = eff / cfg_d.split_scale_factor
+    child_eff = eff / SPLIT_SCALE_FACTOR
     log_scales, _ = solve_log_scale(child_eff, scene.levels[idx], lod_cfg)
     return idx, positions, log_scales
 

@@ -29,13 +29,11 @@ holds [t_in, 1 - alpha] for the running product. The backward's re-run
 skips the forward's t_out gather, divides by the kept 1 - alpha, and uses
 one buffer for d_alpha G and then for d_q.
 
-Tiles are independent: they may run on a thread pool, and results merge in
-fixed tile order, so renders are bit-identical for any thread count.
+Tiles run one after another, in tile order, on the calling thread.
 """
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +51,6 @@ from .deform import (
 )
 from .gaussians import (
     ALPHA_MAX,
-    COV2D_DILATION,
     FOOTPRINT_CHI2,
     FOOTPRINT_RADIUS,
     TRANSMITTANCE_CUTOFF,
@@ -87,27 +84,13 @@ from .scene import SCENE_PARAMS
 # pixels x CHUNK, whatever a tile's depth.
 CHUNK = 64
 
-_POOLS: dict = {}
 _SCRATCH = threading.local()    # per-thread compositor workspace, see _views
-
-
-def _pool(threads):
-    if threads <= 1:
-        return None
-    if threads not in _POOLS:
-        _POOLS[threads] = ThreadPoolExecutor(max_workers=threads)
-    return _POOLS[threads]
 
 
 @dataclass(frozen=True)
 class RenderSettings:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
     tile: int = 16
-    threads: int = 1
-    dilation: float = COV2D_DILATION
-    alpha_max: float = ALPHA_MAX
-    cutoff: float = TRANSMITTANCE_CUTOFF
-    chi2: float = FOOTPRINT_CHI2
     kappa: float = DEFAULT_KAPPA
     lambda_s: float = DEFAULT_LAMBDA_S
     velocity_floor: float = VELOCITY_FLOOR
@@ -384,10 +367,11 @@ def _pixel_axes(rect):
 
 
 def _views(tile, rows, p, k):
-    """C-contiguous (p, k) views of this thread's scratch rows: float64 rows
-    0-10 and bool rows 11-12 of tile * tile * (CHUNK + 1) entries, made on
-    first use (again for a larger tile). The chunk step uses rows 0-6, 11
-    and 12, the tile backward rows 7-10 and 11."""
+    """C-contiguous (p, k) views of the calling thread's scratch rows:
+    float64 rows 0-10 and bool rows 11-12 of tile * tile * (CHUNK + 1)
+    entries, made on first use (again for a larger tile). The rows are per
+    thread so that renders called from two threads never share them. The
+    chunk step uses rows 0-6, 11 and 12, the tile backward rows 7-10 and 11."""
     size = tile * tile * (CHUNK + 1)
     if getattr(_SCRATCH, "size", 0) < size:
         _SCRATCH.size = size
@@ -422,14 +406,14 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings,
     # exp(-0.5 q) masked by a product, as np.where would: exp is finite at q >= 0
     np.multiply(q, -0.5, out=G)
     np.exp(G, out=G)
-    G *= np.less_equal(q, s.chi2, out=inside)
+    G *= np.less_equal(q, FOOTPRINT_CHI2, out=inside)
     np.multiply(opac[idx], G, out=alpha_raw)
-    np.minimum(alpha_raw, s.alpha_max, out=alpha)
+    np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
     scan[:, 0] = t_in
     one_minus_alpha = np.subtract(1.0, alpha, out=scan[:, 1:])
     np.cumprod(scan, axis=1, out=T)
     t_before = T[:, :-1]
-    np.greater_equal(t_before, s.cutoff, out=proc)
+    np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
     np.multiply(alpha, t_before, out=w)
     w *= proc
     t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
@@ -483,7 +467,7 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
         behind = acc[:, -1].copy()
         np.multiply(d_w, t_before, out=d_alpha)
         d_alpha -= np.divide(acc[:, -2::-1], one_minus_alpha, out=tmp)
-        np.less_equal(alpha_raw, s.alpha_max, out=keep)
+        np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
         d_alpha *= np.logical_and(keep, proc, out=keep)   # d/d alpha_raw
         g = grads[lo:lo + sl.size]
         g[:, 5] = np.multiply(d_alpha, G, out=tmp).sum(axis=0)
@@ -507,11 +491,6 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
     return grads
 
 
-def _map_tiles(job, count, threads):
-    pool = _pool(threads)
-    return list(pool.map(job, range(count)) if pool else map(job, range(count)))
-
-
 def _raster_forward(tiles, cam, proj, pose, s: RenderSettings, n):
     ntx = (cam.width + s.tile - 1) // s.tile
     width, height = cam.width, cam.height
@@ -520,12 +499,10 @@ def _raster_forward(tiles, cam, proj, pose, s: RenderSettings, n):
     mean2d, conic = proj["mean2d"], proj["conic"]
     opac, colors = pose["opac"], pose["colors_c"]
 
-    def job(tid):
-        rect = _tile_rect(tid, ntx, s.tile, width, height)
-        return rect, _tile_forward(tiles[tid], rect, mean2d, conic, opac, colors, s)
-
     starts, weights = [], []
-    for (x0, y0, x1, y1), (pix, tfin, imp, st) in _map_tiles(job, len(tiles), s.threads):
+    for tid, idx in enumerate(tiles):
+        x0, y0, x1, y1 = rect = _tile_rect(tid, ntx, s.tile, width, height)
+        pix, tfin, imp, st = _tile_forward(idx, rect, mean2d, conic, opac, colors, s)
         image[y0:y1, x0:x1] = pix
         trans[y0:y1, x0:x1] = tfin
         weights.append(imp)
@@ -542,13 +519,13 @@ def _raster_backward(tape: RenderTape, d_image):
     mean2d, conic = proj["mean2d"], proj["conic"]
     opac, colors = pose["opac"], pose["colors_c"]
 
-    def job(tid):
+    per_tile = []
+    for tid, (idx, starts) in enumerate(zip(tape.tiles, tape.chunk_starts)):
         x0, y0, x1, y1 = rect = _tile_rect(tid, ntx, s.tile, width, height)
-        return _tile_backward(tape.tiles[tid], rect, tape.chunk_starts[tid],
-                              tape.transmittance[y0:y1, x0:x1], mean2d, conic,
-                              opac, colors, s, d_image[y0:y1, x0:x1])
-
-    grads = np.concatenate(_map_tiles(job, len(tape.tiles), s.threads))
+        per_tile.append(_tile_backward(idx, rect, starts, tape.transmittance[y0:y1, x0:x1],
+                                       mean2d, conic, opac, colors, s,
+                                       d_image[y0:y1, x0:x1]))
+    grads = np.concatenate(per_tile)
     idx = np.concatenate(tape.tiles)
     merged = np.stack([np.bincount(idx, col, minlength=tape.n) for col in grads.T],
                       axis=1)
@@ -575,7 +552,7 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     sigma = noise_sigma if train else 0.0
     pose = _pose_forward(scene, partition, fieldp, neighbor_table, t, dt,
                          blur_dt, sigma, rng, settings)
-    proj = project(pose["pos_t"], pose["cov_render"], cam, settings.dilation)
+    proj = project(pose["pos_t"], pose["cov_render"], cam)
     tiles, touched = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                                 proj["valid"], cam.width, cam.height, settings.tile)
     image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,
@@ -617,8 +594,7 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
 def render_points(positions, cov3, colors, opacities, cam: Camera,
                   settings: RenderSettings) -> RenderedFrame:
     """Rasterize bare world-space Gaussians (no deformation, no refinement)."""
-    proj = project(np.asarray(positions, dtype=float),
-                            np.asarray(cov3, dtype=float), cam, settings.dilation)
+    proj = project(np.asarray(positions, dtype=float), np.asarray(cov3, dtype=float), cam)
     tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                           proj["valid"], cam.width, cam.height, settings.tile)
     pose = {"opac": np.asarray(opacities, dtype=float),
@@ -633,8 +609,7 @@ def render_points_naive(positions, cov3, colors, opacities, cam: Camera,
                         settings: RenderSettings) -> RenderedFrame:
     """Per-pixel reference compositor; same footprint and cutoff semantics as
     the tiled path, used to pin its correctness."""
-    proj = project(np.asarray(positions, dtype=float),
-                            np.asarray(cov3, dtype=float), cam, settings.dilation)
+    proj = project(np.asarray(positions, dtype=float), np.asarray(cov3, dtype=float), cam)
     order = np.argsort(proj["depth"], kind="stable")
     order = order[proj["valid"][order]]
     colors_c = np.clip(np.asarray(colors, dtype=float), 0.0, 1.0)
@@ -648,15 +623,15 @@ def render_points_naive(positions, cov3, colors, opacities, cam: Camera,
             color = np.zeros(3)
             T = 1.0
             for i in order:
-                if T < settings.cutoff:
+                if T < TRANSMITTANCE_CUTOFF:
                     break
                 dxi = px - proj["mean2d"][i, 0]
                 dyi = py - proj["mean2d"][i, 1]
                 a, b, c = proj["conic"][i]
                 q = a * dxi * dxi + 2.0 * b * dxi * dyi + c * dyi * dyi
-                if q > settings.chi2:
+                if q > FOOTPRINT_CHI2:
                     continue
-                alpha = min(opac[i] * np.exp(-0.5 * q), settings.alpha_max)
+                alpha = min(opac[i] * np.exp(-0.5 * q), ALPHA_MAX)
                 color = color + T * alpha * colors_c[i]
                 T = T * (1.0 - alpha)
             image[yi, xi] = color + T * settings.background

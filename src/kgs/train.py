@@ -4,8 +4,7 @@ exact-resume checkpoints.
 
 Gradients across a batch reduce in fixed frame order and all structural
 edits happen at iteration barriers, so a run is a deterministic function of
-(config, dataset, seed, thread count) with thread count only affecting tile
-scheduling, never values.
+(config, dataset, seed).
 """
 from __future__ import annotations
 
@@ -148,9 +147,8 @@ def param_arrays(scene: Scene, fieldp: FieldParams):
     return {**{n: getattr(scene, n) for n in SCENE_PARAMS}, **dict(fieldp.param_items())}
 
 
-def make_adam(scene: Scene, fieldp: FieldParams, beta1=0.9, beta2=0.999, eps=1e-15):
-    return Adam([(n, a.shape) for n, a in param_arrays(scene, fieldp).items()],
-                beta1=beta1, beta2=beta2, eps=eps)
+def make_adam(scene: Scene, fieldp: FieldParams):
+    return Adam([(n, a.shape) for n, a in param_arrays(scene, fieldp).items()])
 
 
 def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
@@ -281,7 +279,7 @@ def save_checkpoint(path, state: TrainState, config_dict: dict):
     meta = {
         "iteration": state.iteration,
         "adam_t": state.adam.t,
-        "rng_state": _rng_state_to_json(state.rng),
+        "rng_state": state.rng.bit_generator.state,
         "config": config_dict,
         "field_meta": {"time_bands": state.fieldp.time_bands,
                        "pos_bands": state.fieldp.pos_bands},
@@ -290,16 +288,17 @@ def save_checkpoint(path, state: TrainState, config_dict: dict):
     write_checkpoint(path, arrays, meta)
 
 
-def load_checkpoint(path, beta1=0.9, beta2=0.999, eps=1e-15):
+def load_checkpoint(path):
     arrays, meta = read_checkpoint(path)
     scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
     fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
     partition = Partition.from_mask(arrays["partition_dynamic"].astype(bool),
                                     arrays["partition_scores"])
-    adam = make_adam(scene, fieldp, beta1=beta1, beta2=beta2, eps=eps)
+    adam = make_adam(scene, fieldp)
     adam.load_state_arrays(arrays)
     adam.t = meta["adam_t"]
-    rng = _rng_from_json(meta["rng_state"])
+    rng = np.random.default_rng()
+    rng.bit_generator.state = meta["rng_state"]
     table = arrays.get("neighbor_table")
     state = TrainState(scene=scene, fieldp=fieldp, partition=partition,
                        neighbor_table=table, adam=adam, rng=rng,
@@ -308,23 +307,6 @@ def load_checkpoint(path, beta1=0.9, beta2=0.999, eps=1e-15):
                        grad_count=arrays["grad_count"],
                        clamp_warnings=meta.get("clamp_warnings", 0))
     return state, meta
-
-
-def _rng_state_to_json(rng):
-    st = rng.bit_generator.state
-    return {"bit_generator": st["bit_generator"],
-            "state": {k: int(v) for k, v in st["state"].items()},
-            "has_uint32": int(st.get("has_uint32", 0)),
-            "uinteger": int(st.get("uinteger", 0))}
-
-
-def _rng_from_json(d):
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = {"bit_generator": d["bit_generator"],
-                               "state": {k: int(v) for k, v in d["state"].items()},
-                               "has_uint32": d["has_uint32"],
-                               "uinteger": d["uinteger"]}
-    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +325,6 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
     dt = dataset.frame_interval()
     total = iterations if iterations is not None else cfg.iterations
     level_budget = max(cfg.iterations // settings.lod.l_max, 1)
-    batch = max(cfg.batch, 1)
 
     while state.iteration < total:
         k = state.iteration + 1
@@ -357,7 +338,7 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
             rebuild_neighbors(state, cfg.k_neighbors)
 
         sigma = schedule.sigma(k)
-        picks = state.rng.choice(len(frames), size=min(batch, len(frames)),
+        picks = state.rng.choice(len(frames), size=min(cfg.batch, len(frames)),
                                  replace=False)
         grads = None
         terms_sum = None

@@ -1,9 +1,17 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from kgs.config import ConfigError, RunConfig, config_from_dict, config_to_dict, load_config
+from kgs.config import (
+    DOTTED_KEYS,
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+)
 
 
 class TestRoundTrip:
@@ -18,6 +26,13 @@ class TestRoundTrip:
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert again == cfg
         assert again.background == (0.1, 0.2, 0.3) and again.tile == 8
+
+
+class TestRegistry:
+    def test_every_field_has_one_dotted_key(self):
+        """A RunConfig field without a key would drop out of config_to_dict
+        and so out of checkpoints."""
+        assert sorted(f.name for f in fields(RunConfig)) == sorted(DOTTED_KEYS.values())
 
 
 class TestRejects:
@@ -35,9 +50,17 @@ class TestRejects:
         ({"render.tile": 0}, "render.tile"),
         ({"render.tile": -4}, "render.tile"),
         ({"cf.k": -3}, "cf.k"),
+        ({"threads": 2}, "threads"),
+        ({"batch": 0}, "batch"),
+        ({"cf.refresh": 0}, "cf.refresh"),
+        ({"densify.interval": 0}, "densify.interval"),
+        ({"decomp.repeat": 0}, "decomp.repeat"),
+        ({"decomp.samples": 1}, "decomp.samples"),
     ], ids=["unknown", "bool_for_int", "fraction_for_int", "string_for_float",
             "int_for_bool", "background_len", "background_nan", "nan", "minus_inf",
-            "inf_for_int", "tile_zero", "tile_negative", "k_negative"])
+            "inf_for_int", "tile_zero", "tile_negative", "k_negative", "threads",
+            "batch_zero", "refresh_zero", "densify_interval_zero", "repeat_zero",
+            "one_sample"])
     def test_names_the_key(self, flat, key):
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             config_from_dict(flat)

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,14 @@ import pytest
 from kgs import renderer
 from kgs.decomposition import classify
 from kgs.deform import OffsetClamps, build_neighbor_table, init_field_params
-from kgs.gaussians import FOOTPRINT_RADIUS, TRANSMITTANCE_CUTOFF, Camera, project
+from kgs.gaussians import (
+    ALPHA_MAX,
+    FOOTPRINT_CHI2,
+    FOOTPRINT_RADIUS,
+    TRANSMITTANCE_CUTOFF,
+    Camera,
+    project,
+)
 from kgs.renderer import (
     CHUNK,
     RenderSettings,
@@ -62,7 +71,7 @@ class TestTiledMatchesNaive:
     def test_tiles_hold_several_slices(self):
         rng = np.random.default_rng(0)
         positions, cov3, _, _ = deep_points(rng, N_DEEP, 2.0, 0.5)
-        proj = project(positions, cov3, make_camera(), SETTINGS.dilation)
+        proj = project(positions, cov3, make_camera())
         tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                               proj["valid"], 20, 12, 8)
         assert len(tiles) == 6
@@ -96,7 +105,7 @@ class TestTiledMatchesNaive:
 # the chunk step and the tile backward against per-pixel oracles
 # ---------------------------------------------------------------------------
 
-def composite_pixel(px, py, idx, t, mean2d, conic, opac, s):
+def composite_pixel(px, py, idx, t, mean2d, conic, opac):
     """Per-pixel reference of the chunk step: splat by splat from
     transmittance t. Returns per-splat rows (q, G, alpha_raw, t_before, w)
     and the transmittance after the last processed splat."""
@@ -105,10 +114,10 @@ def composite_pixel(px, py, idx, t, mean2d, conic, opac, s):
         dx, dy = px - mean2d[i, 0], py - mean2d[i, 1]
         a, b, c = conic[i]
         q = a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
-        G = np.exp(-0.5 * q) if q <= s.chi2 else 0.0
+        G = np.exp(-0.5 * q) if q <= FOOTPRINT_CHI2 else 0.0
         alpha_raw = opac[i] * G
-        alpha = min(alpha_raw, s.alpha_max)
-        processed = t >= s.cutoff
+        alpha = min(alpha_raw, ALPHA_MAX)
+        processed = t >= TRANSMITTANCE_CUTOFF
         rows.append((q, G, alpha_raw, t, alpha * t if processed else 0.0))
         t = t * (1.0 - alpha)
         if processed:
@@ -125,14 +134,14 @@ def tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s, d_img_tile):
         for xi in range(x0, x1):
             px, py = xi + 0.5, yi + 0.5
             (_, G, alpha_raw, t_before, w), t_final = composite_pixel(
-                px, py, idx, 1.0, mean2d, conic, opac, s)
+                px, py, idx, 1.0, mean2d, conic, opac)
             p = d_img_tile[yi - y0, xi - x0]
             behind = (p @ s.background) * t_final
             for k in reversed(range(idx.size)):
                 i = idx[k]
                 d_w = p @ colors[i]
                 grads[k, 6:9] += w[k] * p
-                if t_before[k] >= s.cutoff and alpha_raw[k] <= s.alpha_max:
+                if t_before[k] >= TRANSMITTANCE_CUTOFF and alpha_raw[k] <= ALPHA_MAX:
                     d_alpha = d_w * t_before[k] - behind / (1.0 - alpha_raw[k])
                     grads[k, 5] += d_alpha * G[k]
                     d_q = -0.5 * d_alpha * opac[i] * G[k]
@@ -157,7 +166,7 @@ def kernel_tiles(tile):
     positions, cov3, colors, opac = deep_points(rng, n, rng.uniform(1.0, 6.0, n), opac)
     cam = make_camera()
     s = RenderSettings(background=SETTINGS.background, tile=tile)
-    proj = project(positions, cov3, cam, s.dilation)
+    proj = project(positions, cov3, cam)
     tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
                           proj["valid"], cam.width, cam.height, tile)
     ntx = (cam.width + tile - 1) // tile
@@ -184,7 +193,7 @@ class TestKernel:
                     sl, xs, ys, t_in, mean2d, conic, opac, s)
                 for p, (px, py) in enumerate(pixels):
                     (q_p, G_p, _, t_p, w_p), t_end = composite_pixel(
-                        px, py, sl, t_in[p], mean2d, conic, opac, s)
+                        px, py, sl, t_in[p], mean2d, conic, opac)
                     np.testing.assert_array_equal(q[p], q_p)
                     np.testing.assert_array_equal(G[p], G_p)
                     np.testing.assert_array_equal(t_before[p], t_p)
@@ -192,7 +201,7 @@ class TestKernel:
                     assert t_out[p] == t_end
                 crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
                 missed += int((G == 0).sum())
-                clamped += int((opac[sl] * G > s.alpha_max).sum())
+                clamped += int((opac[sl] * G > ALPHA_MAX).sum())
                 t_in = t_out
         assert shapes == ({(16, 12), (4, 12)} if tile == 16 else {(6, 6), (2, 6)})
         assert crossed > 0 and missed > 0 and clamped > 0
@@ -275,6 +284,12 @@ def fd_case(case):
     elif case == "empty_tile":
         # the rightmost tiles lie past every splat's extent
         cam = replace(cam, width=64)
+    elif case == "one_dynamic":
+        only = partition.dynamic_indices[:1]
+        mask = np.zeros(scene.n)
+        mask[only] = 1.0
+        partition = classify(mask, 0.5)
+        table = build_neighbor_table(scene.positions[only], 4)
     return scene, fieldp, partition, table, cam, settings
 
 
@@ -288,7 +303,7 @@ def halfway(values):
 class TestBackward:
     @pytest.mark.parametrize("case", ["generic", "coarse_fine_off", "all_static",
                                       "below_velocity_floor", "behind_camera",
-                                      "clamp_saturation", "empty_tile"])
+                                      "clamp_saturation", "empty_tile", "one_dynamic"])
     def test_central_differences(self, case):
         scene, fieldp, partition, table, cam, settings = fd_case(case)
         frame, tape = train_frame(scene, fieldp, partition, table, cam, settings)
@@ -309,6 +324,8 @@ class TestBackward:
                 assert 0 < hit[pose["dyn_idx"]].sum() < hit[pose["dyn_idx"]].size
         if case == "empty_tile":
             assert min(t.size for t in tape.tiles) == 0
+        if case == "one_dynamic":
+            assert pose["dyn_idx"].size == 1 and pose["table"].shape == (1, 1)
         rng = np.random.default_rng(5)
         weights = rng.normal(size=frame.image.shape)
         grads = render_backward(tape, weights, fieldp)
@@ -336,27 +353,27 @@ class TestBackward:
             an = float(np.sum(analytic[name] * v))
             assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an)) + 1e-8, (name, fd, an)
 
-    def test_thread_count_invariance(self):
-        scene, fieldp, partition, table, cam = deep_scene(6, opacity=0.3)
-        d_img = np.random.default_rng(7).normal(size=(12, 20, 3))
-        out = []
-        for threads in (1, 2):
-            s = RenderSettings(background=SETTINGS.background, tile=8, threads=threads)
-            frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
-            grads = render_backward(tape, d_img, fieldp)
-            out.append((frame, dict(grads.scene_items() + grads.field_items())))
-        (f1, g1), (f2, g2) = out
-        np.testing.assert_array_equal(f1.image, f2.image)
-        np.testing.assert_array_equal(f1.transmittance, f2.transmittance)
-        np.testing.assert_array_equal(f1.importance, f2.importance)
-        for name in g1:
-            np.testing.assert_array_equal(g1[name], g2[name])
+
+def render_and_backward(case):
+    """A train frame and its gradients at one tile size, as a list of
+    arrays; checks that none aliases the calling thread's workspace."""
+    (scene, fieldp, partition, table, cam), tile = case
+    s = RenderSettings(background=SETTINGS.background, tile=tile)
+    frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
+    d_img = np.random.default_rng(tile).normal(size=frame.image.shape)
+    grads = render_backward(tape, d_img, fieldp)
+    out = [frame.image, frame.transmittance, frame.importance,
+           tape.transmittance, *tape.chunk_starts, *grads.grads.values(),
+           grads.densify_norm, grads.densify_count]
+    for buf in renderer._SCRATCH.rows:
+        assert not any(np.shares_memory(a, buf) for a in out)
+    return out
 
 
 class TestWorkspace:
     def test_interleaved_calls(self):
-        """Renders and backwards of two scenes at two tile sizes (with partial
-        edge tiles) and of a 48x48 frame share each thread's scratch
+        """Renders and backwards of a scene at two tile sizes (with partial
+        edge tiles) and of a 48x48 frame share the thread's scratch
         workspace: every call repeats its first result exactly, nothing
         returned aliases the workspace, and a later call changes nothing
         returned earlier."""
@@ -364,30 +381,45 @@ class TestWorkspace:
         scene, fieldp, partition, table, cam = deep_scene(13, n=550, opacity=0.3)
         large = scene, fieldp, partition, table, replace(cam, width=48, height=48,
                                                           cx=24.0, cy=24.0)
-        cases = [(small, 16, 1), (large, 16, 1), (small, 6, 1), (small, 6, 2)]
+        cases = [(small, 16), (large, 16), (small, 6)]
 
-        def call(case):
-            (scene, fieldp, partition, table, cam), tile, threads = case
-            s = RenderSettings(background=SETTINGS.background, tile=tile, threads=threads)
-            frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
-            d_img = np.random.default_rng(tile).normal(size=frame.image.shape)
-            grads = render_backward(tape, d_img, fieldp)
-            out = [frame.image, frame.transmittance, frame.importance,
-                   tape.transmittance, *tape.chunk_starts, *grads.grads.values(),
-                   grads.densify_norm, grads.densify_count]
-            if threads == 1:
-                for buf in renderer._SCRATCH.rows:
-                    assert not any(np.shares_memory(a, buf) for a in out)
-            return out
-
-        first = [call(case) for case in cases]
+        first = [render_and_backward(case) for case in cases]
         kept = [[a.copy() for a in out] for out in first]
-        for i in (1, 0, 3, 2, 1, 2, 0, 3):
-            for got, want in zip(call(cases[i]), kept[i], strict=True):
+        for i in (1, 0, 2, 1, 2, 0):
+            for got, want in zip(render_and_backward(cases[i]), kept[i], strict=True):
                 np.testing.assert_array_equal(got, want)
         for out, want in zip(first, kept):
             for a, b in zip(out, want):
                 np.testing.assert_array_equal(a, b)
+
+    def test_caller_threads(self):
+        """Two threads that render and back-propagate different frames at
+        the same time, switching often, each get what one thread alone
+        gets: each has its own workspace."""
+        cases = [(deep_scene(6, opacity=0.3), 16), (deep_scene(13, opacity=0.3), 6)]
+        want = [render_and_backward(case) for case in cases]
+        got = [[], []]
+
+        def work(i):
+            for _ in range(3):
+                got[i].append(render_and_backward(cases[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for runs, expected in zip(got, want):
+            assert len(runs) == 3
+            for out in runs:
+                for a, b in zip(out, expected, strict=True):
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestPoseStage:
@@ -441,7 +473,7 @@ def scattered_projection(seed, n=400, width=37, height=29):
     cov3 = A @ np.swapaxes(A, 1, 2) + 1e-4 * np.eye(3)
     cam = Camera(rotation=np.eye(3), translation=np.zeros(3), fx=30.0, fy=30.0,
                  cx=width / 2, cy=height / 2, width=width, height=height, near=0.01)
-    return project(positions, cov3, cam, 0.3), cam
+    return project(positions, cov3, cam), cam
 
 
 class TestBinning:
