@@ -225,13 +225,12 @@ def _clamp_norm_backward(cache, d_out):
 # ---------------------------------------------------------------------------
 
 def predict_offsets_batch(params: FieldParams, positions, quats, log_scales, t,
-                          noise_sigma, rng, clamps: OffsetClamps,
-                          noise_shared=False):
+                          noise_sigma, rng, clamps: OffsetClamps):
     """Predict clamped (N,9) offsets for all splats at time t.
 
-    Noise perturbs the time encoding only; it is drawn per splat unless
-    noise_shared. Deterministic for a fixed rng state, and drawn only when
-    noise_sigma > 0 so noise-free runs leave the rng untouched.
+    Noise perturbs the time encoding only, drawn per splat. Deterministic
+    for a fixed rng state, and drawn only when noise_sigma > 0 so noise-free
+    runs leave the rng untouched.
     """
     n = positions.shape[0]
     enc_t = positional_encoding(t, params.time_bands)
@@ -239,10 +238,7 @@ def predict_offsets_batch(params: FieldParams, positions, quats, log_scales, t,
     if noise_sigma > 0.0:
         if rng is None:
             raise InvalidInputError("noise_sigma > 0 requires an rng")
-        if noise_shared:
-            gamma += rng.normal(0.0, noise_sigma, enc_t.size)
-        else:
-            gamma += rng.normal(0.0, noise_sigma, (n, enc_t.size))
+        gamma += rng.normal(0.0, noise_sigma, (n, enc_t.size))
     enc_x = encode_coords(positions, params.pos_bands)
     inputs = np.concatenate([enc_x, quats, log_scales, gamma], axis=1)
     raw, mlp_cache = mlp_forward(inputs, params.w1, params.b1, params.w2,

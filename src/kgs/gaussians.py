@@ -35,12 +35,6 @@ class NumericalError(ArithmeticError):
     """A computation produced non-finite intermediates."""
 
 
-def require_finite(name, *arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError(f"non-finite values in {name}")
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
@@ -156,17 +150,6 @@ def drotmat_dquat(q):
 # ---------------------------------------------------------------------------
 # covariance
 # ---------------------------------------------------------------------------
-
-def covariance_from_rs(rotation, scale):
-    """Build a world covariance R diag(s)^2 R^T from a quaternion and scales."""
-    rotation = np.asarray(rotation, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    require_finite("covariance_from_rs", rotation, scale)
-    if np.any(scale <= 0):
-        raise InvalidInputError("scale components must be > 0")
-    R = quat_to_rotmat(rotation)
-    return covariance_from_matrix(R, scale)
-
 
 def covariance_from_matrix(R, scale):
     M = R * (np.asarray(scale, dtype=float)[..., None, :] ** 2)

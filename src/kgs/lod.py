@@ -24,8 +24,7 @@ SPLIT_SCALE_FACTOR = 1.6
 class LodConfig:
     l_max: int = 3
     lam: float = 0.002            # level-1 scale floor, world units
-    rho: float = 0.5              # geometric factor across levels
-    exponent_sign: str = "paper"  # "paper": rho**(1-l); "flod": rho**(l-1)
+    rho: float = 0.5              # geometric factor across levels: rho**(1-l)
     q_prune: float = 0.1          # importance quantile dropped per transition
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class LodConfig:
             raise InvalidInputError("lam must be > 0")
         if self.l_max < 1:
             raise InvalidInputError("l_max must be >= 1")
-        if self.exponent_sign not in ("paper", "flod"):
-            raise InvalidInputError("exponent_sign must be 'paper' or 'flod'")
 
 
 @dataclass(frozen=True)
@@ -59,20 +56,25 @@ def min_scale(level, cfg: LodConfig):
         raise InvalidInputError(f"level {level} outside [1, {cfg.l_max}]")
     if level == cfg.l_max:
         return 0.0
-    expo = (1 - level) if cfg.exponent_sign == "paper" else (level - 1)
-    return cfg.lam * cfg.rho**expo
+    return cfg.lam * cfg.rho**(1 - level)
 
 
 def min_scale_per_gaussian(levels, cfg: LodConfig):
+    """Scale floor per splat; raises naming the first splat whose level is
+    outside [1, l_max]."""
+    levels = np.asarray(levels, dtype=int)
+    bad = ((levels < 1) | (levels > cfg.l_max)).reshape(-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInputError(f"splat {i}: level {levels.reshape(-1)[i]} "
+                                f"outside [1, {cfg.l_max}]")
     table = np.array([min_scale(l, cfg) for l in range(1, cfg.l_max + 1)])
-    return table[np.asarray(levels, dtype=int) - 1]
+    return table[levels - 1]
 
 
 def effective_scale(log_scale_opt, level, cfg: LodConfig):
     """exp(s_opt) + floor(level), component-wise."""
     s = np.exp(np.asarray(log_scale_opt, dtype=float))
-    if np.isscalar(level) or np.asarray(level).ndim == 0:
-        return s + min_scale(int(level), cfg)
     return s + min_scale_per_gaussian(level, cfg)[..., None]
 
 
@@ -82,9 +84,8 @@ def solve_log_scale(target_effective, level, cfg: LodConfig):
     Returns (log_scale_opt, feasible); infeasible components (target at or
     below the new floor) clamp to a tiny positive exp() argument.
     """
-    target = np.asarray(target_effective, dtype=float)
-    floor = min_scale(level, cfg) if np.isscalar(level) else min_scale_per_gaussian(level, cfg)[..., None]
-    diff = target - floor
+    floor = min_scale_per_gaussian(level, cfg)[..., None]
+    diff = np.asarray(target_effective, dtype=float) - floor
     feasible = diff > _SOLVE_FLOOR
     out = np.log(np.where(feasible, diff, _SOLVE_FLOOR))
     return out, feasible

@@ -18,6 +18,8 @@ SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 PSNR_CLAMP_DB = 99.0
+# Keeps the anisotropy ratio finite for a vanishing smallest scale.
+EPS_ANI = 1e-6
 
 
 def _window1d():
@@ -160,15 +162,15 @@ def reg_loss_backward(dx, dynamic_mask, d_value=1.0):
     return grad
 
 
-def ani_loss(scales, eps_ani=1e-6):
-    """Mean aspect ratio max(s)/(min(s)+eps) over splats."""
+def ani_loss(scales):
+    """Mean aspect ratio max(s)/(min(s)+EPS_ANI) over splats."""
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0):
         raise InvalidInputError("scales must be positive")
-    return float(np.mean(scales.max(axis=1) / (scales.min(axis=1) + eps_ani)))
+    return float(np.mean(scales.max(axis=1) / (scales.min(axis=1) + EPS_ANI)))
 
 
-def ani_loss_backward(scales, eps_ani=1e-6, d_value=1.0):
+def ani_loss_backward(scales, d_value=1.0):
     scales = np.asarray(scales, dtype=float)
     n = scales.shape[0]
     i_max = scales.argmax(axis=1)
@@ -176,12 +178,12 @@ def ani_loss_backward(scales, eps_ani=1e-6, d_value=1.0):
     smax = scales[np.arange(n), i_max]
     smin = scales[np.arange(n), i_min]
     grad = np.zeros_like(scales)
-    denom = smin + eps_ani
+    denom = smin + EPS_ANI
     same = i_max == i_min
     grad[np.arange(n), i_max] += d_value / (n * denom)
     grad[np.arange(n), i_min] -= d_value * smax / (n * denom**2)
     if same.any():
         # isotropic splat: ratio is s/(s+eps), one combined derivative
         rows = np.where(same)[0]
-        grad[rows, i_max[rows]] = d_value * eps_ani / (n * denom[rows] ** 2)
+        grad[rows, i_max[rows]] = d_value * EPS_ANI / (n * denom[rows] ** 2)
     return grad

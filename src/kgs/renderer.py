@@ -93,12 +93,10 @@ class RenderSettings:
     tile: int = 16
     kappa: float = DEFAULT_KAPPA
     lambda_s: float = DEFAULT_LAMBDA_S
-    velocity_floor: float = VELOCITY_FLOOR
     refine_enabled: bool = True
     coarse_fine: bool = True
     clamps: OffsetClamps = field(default_factory=OffsetClamps)
     lod: LodConfig = field(default_factory=LodConfig)
-    noise_shared: bool = False
 
 
 @dataclass
@@ -167,8 +165,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     q_n = quat_normalize(scene.quaternions)
 
     raw, pred_cache = predict_offsets_batch(
-        fieldp, scene.positions, q_n, scene.log_scales, t, noise_sigma, rng,
-        s.clamps, noise_shared=s.noise_shared)
+        fieldp, scene.positions, q_n, scene.log_scales, t, noise_sigma, rng, s.clamps)
 
     fine_cache = None
     if s.coarse_fine and dyn_idx.size:
@@ -196,7 +193,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
 
     v = dx_r / dt
     speed = np.linalg.norm(v, axis=1)
-    refined = s.refine_enabled & dyn & (speed >= s.velocity_floor)
+    refined = s.refine_enabled & dyn & (speed >= VELOCITY_FLOOR)
     ridx = np.where(refined)[0]
 
     cov_render = cov_pred.copy()
@@ -545,6 +542,8 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     frame interval; eval mode forces noise off and renders zero-exposure.
     Returns RenderedFrame, or (RenderedFrame, RenderTape) when want_tape.
     """
+    if mode not in ("train", "eval"):
+        raise InvalidInputError(f"render mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
     if want_tape is None:
         want_tape = train
@@ -589,20 +588,6 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
     return ParamGrads(grads={name: grads[name] for name in SCENE_PARAMS + FIELD_PARAMS},
                       densify_norm=np.linalg.norm(d_mean2d * half, axis=1),
                       densify_count=tape.touched.astype(float))
-
-
-def render_points(positions, cov3, colors, opacities, cam: Camera,
-                  settings: RenderSettings) -> RenderedFrame:
-    """Rasterize bare world-space Gaussians (no deformation, no refinement)."""
-    proj = project(np.asarray(positions, dtype=float), np.asarray(cov3, dtype=float), cam)
-    tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                          proj["valid"], cam.width, cam.height, settings.tile)
-    pose = {"opac": np.asarray(opacities, dtype=float),
-            "colors_c": np.clip(np.asarray(colors, dtype=float), 0.0, 1.0)}
-    n = np.asarray(positions).shape[0]
-    image, trans, importance, _ = _raster_forward(tiles, cam, proj, pose, settings, n)
-    return RenderedFrame(image=np.clip(image, 0.0, 1.0), transmittance=trans,
-                         importance=importance)
 
 
 def render_points_naive(positions, cov3, colors, opacities, cam: Camera,

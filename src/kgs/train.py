@@ -57,8 +57,9 @@ class Adam:
     """Adam over a dict of named arrays; TrainState.edit_rows keeps the
     per-splat moments aligned with the scene."""
 
-    def __init__(self, names_shapes, beta1=0.9, beta2=0.999, eps=1e-15):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-15
+
+    def __init__(self, names_shapes):
         self.t = 0
         self.m = {n: np.zeros(s) for n, s in names_shapes}
         self.v = {n: np.zeros(s) for n, s in names_shapes}
@@ -95,7 +96,6 @@ class LossWeights:
     lambda_dssim: float = 0.2
     lambda_reg: float = 0.01
     lambda_ani: float = 0.001
-    eps_ani: float = 1e-6
 
 
 @dataclass
@@ -169,8 +169,8 @@ def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
     d_dx_extra = reg_loss_backward(dx_reg, dyn, weights.lambda_reg)
 
     scales = pose["scales_render"]
-    ani_val = ani_loss(scales, weights.eps_ani)
-    d_scales_extra = ani_loss_backward(scales, weights.eps_ani, weights.lambda_ani)
+    ani_val = ani_loss(scales)
+    d_scales_extra = ani_loss_backward(scales, weights.lambda_ani)
 
     grads = render_backward(tape, d_image, state.fieldp,
                             d_dx_extra=d_dx_extra, d_scales_extra=d_scales_extra)
@@ -367,9 +367,9 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
 
         changed = densify_and_prune(state, k, dcfg, settings.lod)
         if evaluate_partition_schedule(k, cfg.decomp_warmup, cfg.decomp_repeat):
-            recompute_partition(state, cfg.tau, cfg.decomp_samples, settings.clamps)
+            recompute_partition(state, cfg.decomp_tau, cfg.decomp_samples, settings.clamps)
             changed = True
-        if changed or k % cfg.k_refresh == 0:
+        if changed or k % cfg.cf_refresh == 0:
             rebuild_neighbors(state, cfg.k_neighbors)
 
         wall_ms = (time.perf_counter() - t0) * 1000.0

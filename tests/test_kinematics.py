@@ -1,6 +1,6 @@
 import numpy as np
 
-from kgs.gaussians import covariance_from_rs, exp_map_so3, sigmoid
+from kgs.gaussians import covariance_from_matrix, exp_map_so3, quat_to_rotmat, sigmoid
 from kgs.kinematics import (
     COLINEAR_LIMIT,
     DEFAULT_KAPPA,
@@ -10,6 +10,8 @@ from kgs.kinematics import (
     refine,
     refine_backward,
 )
+
+IDENTITY = quat_to_rotmat(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def frame_errors(R):
@@ -114,7 +116,7 @@ class TestKinematicBasis:
         while checked_axis < 20:
             v = rng.normal(size=3)
             Q = exp_map_so3(np.array([rng.normal(), 0.0, 0.0]))  # fixes (1,0,0)
-            cov = covariance_from_rs(np.array([1.0, 0, 0, 0]), rng.uniform(0.5, 2.0, 3))
+            cov = covariance_from_matrix(IDENTITY, rng.uniform(0.5, 2.0, 3))
             checked_axis += check(cov, v, Q)
         while checked_iso < 20:
             v = rng.normal(size=3)
@@ -143,7 +145,7 @@ class TestProjectVariances:
         rng = np.random.default_rng(3)
         for _ in range(50):
             Q = exp_map_so3(rng.normal(size=3))
-            cov = covariance_from_rs(np.array([1.0, 0, 0, 0]), rng.uniform(0.2, 2.0, 3))
+            cov = covariance_from_matrix(IDENTITY, rng.uniform(0.2, 2.0, 3))
             U = frames(rng.normal(size=3))[0]
             a = variances(cov, U)
             b = variances(Q @ cov @ Q.T, Q @ U)
@@ -200,7 +202,7 @@ class TestRefineCovariance:
     def test_factorization_reconstructs(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            cov = covariance_from_rs(np.array([1.0, 0, 0, 0]), rng.uniform(0.3, 2.0, 3))
+            cov = covariance_from_matrix(IDENTITY, rng.uniform(0.3, 2.0, 3))
             out, scales, cache = refine_moving(
                 cov, rng.normal(size=3), rng.uniform(0.01, 1.0),
                 d_scale=rng.normal(0, 0.5, 3), d_rot=rng.normal(0, 0.5, 3),
@@ -213,7 +215,7 @@ class TestRefineCovariance:
     def test_trace_inflation(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            cov = covariance_from_rs(np.array([1.0, 0, 0, 0]), rng.uniform(0.3, 2.0, 3))
+            cov = covariance_from_matrix(IDENTITY, rng.uniform(0.3, 2.0, 3))
             v = rng.normal(size=3)
             refined = refine_moving(cov, v, 0.5)[0]
             frame = frames(v)[0]

@@ -10,6 +10,7 @@ from kgs.lod import (
     effective_scale,
     level_survivors,
     min_scale,
+    min_scale_per_gaussian,
     opacity_reset_logits,
     prune_mask_low_opacity,
     solve_log_scale,
@@ -31,10 +32,6 @@ class TestMinScale:
         # rho**(1-l) grows with level for rho < 1
         assert min_scale(3, CFG) == pytest.approx(0.1 * 0.5**-2)
 
-    def test_flod_exponent_decay(self):
-        cfg = LodConfig(l_max=5, lam=0.1, rho=0.5, exponent_sign="flod")
-        assert min_scale(3, cfg) == pytest.approx(0.1 * 0.5**2)
-
     def test_positive_below_finest(self):
         for l in range(1, 5):
             assert min_scale(l, CFG) > 0
@@ -44,6 +41,16 @@ class TestMinScale:
             min_scale(0, CFG)
         with pytest.raises(InvalidInputError):
             min_scale(6, CFG)
+
+    @pytest.mark.parametrize("bad", [0, 6])
+    def test_per_gaussian_names_the_first_splat_out_of_range(self, bad):
+        """Level 0 would wrap to the finest floor through index -1, and
+        l_max + 1 would index past the table."""
+        levels = np.array([1, 2, bad, 5, bad])
+        with pytest.raises(InvalidInputError, match=rf"^splat 2: level {bad} outside \[1, 5\]$"):
+            min_scale_per_gaussian(levels, CFG)
+        np.testing.assert_array_equal(min_scale_per_gaussian(np.array([1, 5]), CFG),
+                                      [min_scale(1, CFG), 0.0])
 
 
 class TestEffectiveScale:

@@ -3,6 +3,7 @@ import pytest
 
 from kgs.gaussians import InvalidInputError
 from kgs.losses import (
+    EPS_ANI,
     SSIM_SIGMA,
     SSIM_WINDOW,
     _blur,
@@ -199,17 +200,17 @@ class TestRegLoss:
 class TestAniLoss:
     def test_isotropic_near_one(self):
         s = np.full((5, 3), 0.7)
-        assert ani_loss(s, 1e-9) == pytest.approx(1.0, abs=1e-6)
+        assert ani_loss(s) == pytest.approx(0.7 / (0.7 + EPS_ANI), rel=1e-15)
 
     def test_aspect_four(self):
         s = np.array([[4.0, 1.0, 1.0]])
-        assert ani_loss(s, 1e-12) == pytest.approx(4.0)
+        assert ani_loss(s) == pytest.approx(4.0 / (1.0 + EPS_ANI), rel=1e-15)
 
     def test_scale_invariance_up_to_eps(self):
         rng = np.random.default_rng(10)
         s = rng.uniform(0.5, 2.0, (20, 3))
-        a = ani_loss(s, 1e-6)
-        b = ani_loss(10 * s, 1e-6)
+        a = ani_loss(s)
+        b = ani_loss(10 * s)
         exact = np.mean(s.max(axis=1) / s.min(axis=1))
         assert abs(a - exact) < 1e-5
         assert abs(b - exact) < 1e-6
@@ -223,11 +224,11 @@ class TestAniLoss:
     def test_backward(self):
         rng = np.random.default_rng(12)
         s = rng.uniform(0.5, 2.0, (8, 3))
-        grad = ani_loss_backward(s, 1e-6)
+        grad = ani_loss_backward(s)
         h = 1e-7
         for idx in [(0, 0), (3, 1), (7, 2)]:
             sp, sm = s.copy(), s.copy()
             sp[idx] += h
             sm[idx] -= h
-            fd = (ani_loss(sp, 1e-6) - ani_loss(sm, 1e-6)) / (2 * h)
+            fd = (ani_loss(sp) - ani_loss(sm)) / (2 * h)
             assert abs(grad[idx] - fd) < 1e-5

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import strategies as st
 
 from kgs import renderer
 from kgs.decomposition import classify
@@ -14,10 +16,17 @@ from kgs.gaussians import (
     FOOTPRINT_RADIUS,
     TRANSMITTANCE_CUTOFF,
     Camera,
+    InvalidInputError,
+    covariance_from_matrix,
     project,
+    quat_normalize,
+    quat_to_rotmat,
+    sigmoid,
 )
+from kgs.kinematics import VELOCITY_FLOOR
 from kgs.renderer import (
     CHUNK,
+    RenderedFrame,
     RenderSettings,
     _bin_tiles,
     _chunk_step,
@@ -28,7 +37,6 @@ from kgs.renderer import (
     _tile_rect,
     render,
     render_backward,
-    render_points,
     render_points_naive,
 )
 from kgs.scene import make_scene
@@ -57,6 +65,19 @@ def deep_points(rng, n, sigma_px, opacity):
 
 
 SETTINGS = RenderSettings(background=np.array([0.1, 0.2, 0.3]), tile=8)
+
+
+def render_points(positions, cov3, colors, opacities, cam, settings):
+    """Composite bare world-space splats, with no deformation and no
+    refinement, through the tiled compositor: project, bin, raster."""
+    proj = project(positions, cov3, cam)
+    tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
+                          proj["valid"], cam.width, cam.height, settings.tile)
+    pose = {"opac": opacities, "colors_c": np.clip(colors, 0.0, 1.0)}
+    image, trans, importance, _ = _raster_forward(tiles, cam, proj, pose, settings,
+                                                  positions.shape[0])
+    return RenderedFrame(image=np.clip(image, 0.0, 1.0), transmittance=trans,
+                         importance=importance)
 
 
 class TestTiledMatchesNaive:
@@ -253,24 +274,26 @@ def deep_scene(seed, n=N_DEEP, opacity=0.015):
     return scene, fieldp, partition, table, cam
 
 
-def train_frame(scene, fieldp, partition, table, cam, settings=SETTINGS):
+def train_frame(scene, fieldp, partition, table, cam, settings=SETTINGS, dt=0.125):
     return render(scene, partition, fieldp, cam, 0.3, settings, mode="train",
-                  dt=0.125, neighbor_table=table)
+                  dt=dt, neighbor_table=table)
 
 
 def fd_case(case):
-    """deep_scene(4) set up so that render_backward takes one branch."""
+    """deep_scene(4) set up so that render_backward takes one branch; with
+    the settings and the frame interval."""
     scene, fieldp, partition, table, cam = deep_scene(4)
-    settings = SETTINGS
+    settings, dt = SETTINGS, 0.125
     if case == "coarse_fine_off":
         settings = replace(SETTINGS, coarse_fine=False)
     elif case == "all_static":
         partition, table = classify(np.zeros(scene.n), 0.5), None
     elif case == "below_velocity_floor":
-        # the floor halfway between the two middle dynamic speeds
+        # speed |dx| / dt crosses the floor halfway between the two middle
+        # dynamic offsets; the blur length, speed times dt, stays |dx|
         offsets = train_frame(scene, fieldp, partition, table, cam)[1].pose["offsets"]
-        speed = np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1) / 0.125
-        settings = replace(SETTINGS, velocity_floor=halfway(speed))
+        dx = np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1)
+        dt = halfway(dx) / VELOCITY_FLOOR
     elif case == "behind_camera":
         scene.positions[partition.static_indices[0], 2] = -4.0
     elif case == "clamp_saturation":
@@ -290,7 +313,7 @@ def fd_case(case):
         mask[only] = 1.0
         partition = classify(mask, 0.5)
         table = build_neighbor_table(scene.positions[only], 4)
-    return scene, fieldp, partition, table, cam, settings
+    return scene, fieldp, partition, table, cam, settings, dt
 
 
 def halfway(values):
@@ -305,8 +328,8 @@ class TestBackward:
                                       "below_velocity_floor", "behind_camera",
                                       "clamp_saturation", "empty_tile", "one_dynamic"])
     def test_central_differences(self, case):
-        scene, fieldp, partition, table, cam, settings = fd_case(case)
-        frame, tape = train_frame(scene, fieldp, partition, table, cam, settings)
+        scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
+        frame, tape = train_frame(scene, fieldp, partition, table, cam, settings, dt)
         pose = tape.pose
         assert max(t.size for t in tape.tiles) > 2 * CHUNK
         assert 0.0 < frame.image.min() and frame.image.max() < 1.0
@@ -338,7 +361,7 @@ class TestBackward:
             assert np.all(analytic["positions"][hidden] == 0.0)
 
         def loss():
-            img = train_frame(scene, fieldp, partition, table, cam, settings)[0].image
+            img = train_frame(scene, fieldp, partition, table, cam, settings, dt)[0].image
             return float(np.sum(weights * img))
 
         h = 1e-6
@@ -430,6 +453,82 @@ class TestPoseStage:
             render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train", dt=0.125)
         s = RenderSettings(background=SETTINGS.background, tile=8, coarse_fine=False)
         render(scene, partition, fieldp, cam, 0.3, s, mode="train", dt=0.125)
+
+    @pytest.mark.parametrize("mode", ["Train", "test", None])
+    def test_unknown_mode_rejected(self, mode):
+        """Only "train" and "eval" render; anything else would otherwise
+        render as eval, with no blur and no noise."""
+        scene, fieldp, partition, table, cam = deep_scene(10, n=40)
+        with pytest.raises(InvalidInputError, match="render mode must be 'train' or 'eval'"):
+            render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode=mode, dt=0.125,
+                   neighbor_table=table)
+
+
+# ---------------------------------------------------------------------------
+# degenerate scenes
+# ---------------------------------------------------------------------------
+
+DEGENERATE_KINDS = ["all_static", "one_dynamic", "coincident", "behind_camera"]
+
+
+def degenerate_scene(kind, n, seed):
+    """n splats in front of deep_scene's camera (at z = -3), with non-zero
+    heads so that dynamic splats move and refine, of one kind: every splat
+    static, one dynamic splat, every splat at one position, or some splats
+    behind the camera."""
+    rng = np.random.default_rng(seed)
+    positions = np.column_stack([rng.uniform(-0.3, 0.3, (n, 2)), rng.uniform(-0.5, 0.5, n)])
+    if kind == "coincident":
+        positions[:] = positions[0]
+    elif kind == "behind_camera":
+        positions[rng.permutation(n)[:(n + 1) // 2], 2] = -3.5
+    scene = make_scene(positions, rng.normal(size=(n, 4)),
+                       np.log(rng.uniform(0.05, 0.3, (n, 3))), rng.normal(0.0, 1.5, n),
+                       rng.uniform(-0.1, 1.1, (n, 3)), rng.integers(1, 4, n))
+    fieldp = init_field_params(rng, n, 8, 2, 2, 3)
+    for head in (fieldp.w2, fieldp.b2, fieldp.fine_w2, fieldp.fine_b2):
+        head[...] = rng.normal(0.0, 0.05, head.shape)
+    fieldp.features[...] = rng.normal(0.0, 0.5, fieldp.features.shape)
+    dynamic = rng.uniform(size=n) < 0.5
+    if kind == "all_static":
+        dynamic[:] = False
+    elif kind == "one_dynamic":
+        dynamic[:] = np.arange(n) == rng.integers(n)
+    partition = classify(dynamic.astype(float), 0.5)
+    table = build_neighbor_table(scene.positions[partition.dynamic_indices], 2)
+    cam = Camera(rotation=np.eye(3), translation=np.array([0.0, 0.0, 3.0]),
+                 fx=20.0, fy=20.0, cx=10.0, cy=6.0, width=20, height=12, near=0.01)
+    return scene, fieldp, partition, table, cam
+
+
+class TestDegenerateScenes:
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+    @hypothesis.given(kind=st.sampled_from(DEGENERATE_KINDS), n=st.integers(1, 6),
+                      seed=st.integers(0, 2**32 - 1))
+    def test_finite_and_canonical_frame_is_naive(self, kind, n, seed):
+        """A train frame and its gradients are finite. With zero output heads
+        and every splat at the finest level, the eval frame composites the
+        canonical splats, as the per-pixel compositor does."""
+        scene, fieldp, partition, table, cam = degenerate_scene(kind, n, seed)
+        rng = np.random.default_rng(seed)
+        frame, tape = render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train",
+                             rng=rng, noise_sigma=0.05, dt=0.125, neighbor_table=table)
+        assert np.isfinite(frame.image).all() and np.isfinite(frame.transmittance).all()
+        grads = render_backward(tape, rng.normal(size=frame.image.shape), fieldp)
+        for name, g in grads.grads.items():
+            assert np.isfinite(g).all(), name
+
+        for head in (fieldp.w2, fieldp.b2, fieldp.fine_w2, fieldp.fine_b2):
+            head[...] = 0.0
+        scene.levels[:] = SETTINGS.lod.l_max
+        frame = render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="eval",
+                       neighbor_table=table)
+        cov3 = covariance_from_matrix(quat_to_rotmat(quat_normalize(scene.quaternions)),
+                                      np.exp(scene.log_scales))
+        naive = render_points_naive(scene.positions, cov3, scene.colors,
+                                    sigmoid(scene.opacity_logits), cam, SETTINGS)
+        np.testing.assert_array_equal(frame.transmittance, naive.transmittance)
+        np.testing.assert_allclose(frame.image, naive.image, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
