@@ -153,11 +153,25 @@ _PERFBENCH_KEYS = {"hidden": "field.hidden", "time_bands": "field.time_bands",
 DOTTED_KEYS = {_PERFBENCH_KEYS.get(f.name, f.name.replace("_", ".", 1)): f.name
                for f in fields(RunConfig)}
 
-# Smallest value each bounded setting accepts.
-_MINIMUM = {"render_tile": 1, "k_neighbors": 0, "batch": 1, "cf_refresh": 1,
-            "densify_interval": 1, "decomp_repeat": 1, "decomp_samples": 2,
-            "decomp_tau": 0.0,
-            **{f.name: 0.0 for f in fields(RunConfig) if f.name.startswith("lr_")}}
+# The values each bounded setting accepts, as an interval: "[" and "]" are
+# closed ends, "(" and ")" open ones. noise.sigma_final is also bounded
+# above by noise.sigma_init (see config_from_dict).
+_BOUNDS = {"render_tile": "[1, inf)", "k_neighbors": "[0, inf)", "batch": "[1, inf)",
+           "cf_refresh": "[1, inf)", "densify_interval": "[1, inf)",
+           "decomp_repeat": "[1, inf)", "decomp_samples": "[2, inf)",
+           "decomp_tau": "[0, inf)", "densify_reset_value": "(0, 1)",
+           "lod_rho": "(0, 1)", "lod_lambda": "(0, inf)", "lod_q_prune": "[0, 1]",
+           "noise_w_delay": "(0, 1]", "noise_sigma_init": "[0, inf)",
+           "noise_sigma_final": "[0, inf)", "clamp_dx": "[0, inf)",
+           "clamp_dr": "[0, inf)", "clamp_ds": "[0, inf)",
+           **{f.name: "[0, inf)" for f in fields(RunConfig) if f.name.startswith("lr_")}}
+
+
+def _in_interval(value, interval):
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value > low if interval[0] == "(" else value >= low
+    below = value < high if interval[-1] == ")" else value <= high
+    return above and below
 
 
 def _is_finite_number(value):
@@ -194,10 +208,14 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
             if not _is_finite_number(value):
                 raise ConfigError(f"{key} expects a finite number, got {value!r}")
             value = float(value)
-        if value < _MINIMUM.get(attr, value):
-            raise ConfigError(f"{key} must be >= {_MINIMUM[attr]}, got {value!r}")
+        if attr in _BOUNDS and not _in_interval(value, _BOUNDS[attr]):
+            raise ConfigError(f"{key} must be in {_BOUNDS[attr]}, got {value!r}")
         updates[attr] = value
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    if cfg.noise_sigma_final > cfg.noise_sigma_init:
+        raise ConfigError(f"noise.sigma_final must be <= noise.sigma_init "
+                          f"({cfg.noise_sigma_init!r}), got {cfg.noise_sigma_final!r}")
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -34,8 +34,10 @@ PERFBENCH_KEYS = {"hidden": "field.hidden", "time_bands": "field.time_bands",
                   "k_neighbors": "cf.k", "background": "render.background"}
 
 
-def other_value(value):
+def other_value(value, name=None):
     """A valid value of the same type that differs from value."""
+    if name == "noise_sigma_final":  # bounded above by noise.sigma_init (0.1)
+        return value + 0.0375
     if isinstance(value, bool):
         return not value
     if isinstance(value, tuple):
@@ -58,7 +60,7 @@ class TestRegistry:
         """Each field, set alone to another value, loads from its key and is
         written back under it."""
         for key, name in DOTTED_KEYS.items():
-            value = other_value(getattr(RunConfig(), name))
+            value = other_value(getattr(RunConfig(), name), name)
             flat = {key: list(value) if isinstance(value, tuple) else value}
             cfg = config_from_dict(flat)
             assert getattr(cfg, name) == value, key
@@ -159,6 +161,40 @@ class TestRejects:
         path.write_text(text)
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             load_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("densify.reset_value", 1.5), ("densify.reset_value", 1.0),
+        ("densify.reset_value", 0.0), ("lod.rho", 1.5), ("lod.rho", 0.0),
+        ("lod.lambda", 0.0), ("lod.lambda", -0.002), ("noise.w_delay", 0.0),
+        ("noise.w_delay", 1.5), ("lod.q_prune", 1.5), ("lod.q_prune", -0.1),
+        ("clamp.dx", -1.0), ("clamp.dr", -0.5), ("clamp.ds", -2.0),
+        ("noise.sigma_final", -0.01), ("noise.sigma_final", 0.5),
+        ("noise.sigma_init", -0.1),
+    ])
+    def test_out_of_range_names_the_key(self, key, value):
+        """Rejected when loaded, not later in a bundle or mid-run."""
+        with pytest.raises(ConfigError, match=rf"^{key.replace('.', '[.]')} must be"):
+            config_from_dict({key: value})
+
+    def test_sigma_final_bounded_by_sigma_init(self):
+        with pytest.raises(ConfigError, match=r"^noise\.sigma_final must be <= noise\.sigma_init"):
+            config_from_dict({"noise.sigma_init": 0.05, "noise.sigma_final": 0.06})
+        with pytest.raises(ConfigError, match=r"^noise\.sigma_final"):
+            config_from_dict({"noise.sigma_init": 0.01},
+                             base=RunConfig(noise_sigma_final=0.02))
+        cfg = config_from_dict({"noise.sigma_init": 0.05, "noise.sigma_final": 0.05})
+        assert cfg.noise_schedule().sigma(0) > 0
+
+    @pytest.mark.parametrize("flat", [
+        {"densify.reset_value": 0.999, "lod.rho": 1e-9, "lod.lambda": 1e-12,
+         "noise.w_delay": 1.0, "lod.q_prune": 0.0, "clamp.dx": 0.0,
+         "clamp.dr": 0.0, "clamp.ds": 0.0, "noise.sigma_final": 0.0},
+        {"lod.q_prune": 1.0, "noise.sigma_init": 0.0, "noise.sigma_final": 0.0},
+    ], ids=["low_ends", "high_ends"])
+    def test_range_ends_load_and_build(self, flat):
+        """Closed ends load, and every bundle builds from them."""
+        cfg = config_from_dict(flat)
+        cfg.render_settings(), cfg.densify(), cfg.noise_schedule()
 
     def test_zero_neighbors_allowed(self):
         assert config_from_dict({"cf.k": 0}).k_neighbors == 0

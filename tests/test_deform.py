@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgs import deform
 from kgs.deform import (
     NoiseSchedule,
     OffsetClamps,
@@ -279,6 +280,122 @@ class TestCoarseAggregation:
             om[idx] -= h
             fd = np.sum((coarse_offsets_batch(op, table) - coarse_offsets_batch(om, table)) * d_coarse) / (2 * h)
             assert abs(grad[idx] - fd) < 1e-6
+
+    def test_backward_equals_ordered_scatter(self):
+        """The same sums, added in the same order, as an unbuffered scatter."""
+        rng = np.random.default_rng(12)
+        table = build_neighbor_table(rng.normal(size=(300, 3)), 5)
+        d_coarse = rng.normal(size=(300, 9))
+        expected = np.zeros((300, 9))
+        np.add.at(expected, table.reshape(-1), np.repeat(d_coarse / 5, 5, axis=0))
+        np.testing.assert_array_equal(coarse_offsets_backward(table, 300, d_coarse), expected)
+
+
+def brute_force_table(positions, k):
+    """All-pairs oracle for build_neighbor_table, 32 query rows at a time:
+    squared distances summed x, then y, then z; nearest first, equal
+    distances to the lower index."""
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    if n == 0 or k == 0:
+        return np.zeros((n, 0), dtype=int)
+    if n == 1:
+        return np.zeros((1, 1), dtype=int)
+    k_eff = min(k, n - 1)
+    table = np.empty((n, k_eff), dtype=int)
+    for start in range(0, n, 32):
+        stop = min(start + 32, n)
+        d2 = np.square(positions[start:stop, 0, None] - positions[:, 0])
+        for axis in range(1, positions.shape[1]):
+            d2 += np.square(positions[start:stop, axis, None] - positions[:, axis])
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.nan
+        kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1, None]
+        r, c = np.nonzero(d2 <= kth)
+        order = np.lexsort((c, d2[r, c], r))
+        first = np.searchsorted(r, np.arange(stop - start))
+        table[start:stop] = c[order][first[:, None] + np.arange(k_eff)]
+    return table
+
+
+def assert_matches_oracle(positions, k, block=None, min_skip=None):
+    """build_neighbor_table equals the oracle; block and min_skip, when
+    given, replace KNN_BLOCK and KNN_MIN_SKIP for the call (min_skip = 0
+    sends every block through its candidate box, however small the input)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(deform, "KNN_BLOCK", block)
+        if min_skip is not None:
+            mp.setattr(deform, "KNN_MIN_SKIP", min_skip)
+        table = build_neighbor_table(positions, k)
+    expected = brute_force_table(positions, k)
+    assert table.dtype == expected.dtype
+    np.testing.assert_array_equal(table, expected)
+
+
+def clustered(rng, n_blob, n_backdrop):
+    """A dense blob inside a uniform backdrop, rows shuffled together."""
+    pos = np.concatenate([rng.normal(0.3, 0.02, (n_blob, 3)),
+                          rng.uniform(-1.0, 1.0, (n_backdrop, 3))])
+    return pos[rng.permutation(len(pos))]
+
+
+class TestKnnOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_inputs(self, data):
+        """Uniform, clustered and integer-grid rows through small blocks and
+        boxes that start too small, so blocks are searched more than once."""
+        n = data.draw(st.integers(2, 300))
+        k = data.draw(st.one_of(st.integers(0, 12), st.integers(n - 2, n + 2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        kind = data.draw(st.sampled_from(["uniform", "clustered", "grid", "flat"]))
+        if kind == "uniform":
+            pos = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.1, 10.0, 3)
+        elif kind == "clustered":
+            pos = clustered(rng, n // 2, n - n // 2)
+        elif kind == "grid":
+            pos = rng.integers(-3, 4, (n, 3)).astype(float)
+        else:
+            pos = rng.uniform(-1.0, 1.0, (n, 3))
+            pos[:, rng.integers(0, 3)] = 0.5
+        block = data.draw(st.sampled_from([3, 8, 32]))
+        assert_matches_oracle(pos, k, block=block,
+                              min_skip=data.draw(st.sampled_from([0, 512])))
+
+    @pytest.mark.parametrize("min_skip", [0, None])
+    def test_clustered(self, min_skip):
+        """The mean density misjudges both the blob and the backdrop, so
+        backdrop blocks need a second, larger box."""
+        pos = clustered(np.random.default_rng(4), 2400, 600)
+        assert_matches_oracle(pos, 8, min_skip=min_skip)
+
+    @pytest.mark.parametrize("min_skip", [0, None])
+    @pytest.mark.parametrize("shape", ["coincident", "collinear", "planar", "two_sites"])
+    def test_degenerate_extent(self, shape, min_skip):
+        """Axes on which every row agrees: no division by a zero extent
+        (warnings are errors here) and no search along them."""
+        rng = np.random.default_rng(6)
+        n = 700
+        if shape == "coincident":
+            pos = np.tile([0.25, -1.0, 3.0], (n, 1))
+        elif shape == "collinear":
+            pos = np.outer(rng.uniform(-1.0, 1.0, n), [1.0, -2.0, 0.5]) + [1.0, 2.0, 3.0]
+        elif shape == "planar":
+            pos = np.column_stack([rng.uniform(-1, 1, n), np.full(n, 0.7), rng.uniform(-1, 1, n)])
+        else:
+            pos = np.repeat([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], n // 2, axis=0)
+        assert_matches_oracle(pos, 8, min_skip=min_skip)
+
+    @pytest.mark.parametrize("min_skip", [0, None])
+    def test_large_offset_fine_spacing(self, min_skip):
+        rng = np.random.default_rng(8)
+        pos = 1e6 + 1e-3 * rng.integers(0, 12, (800, 3)) + 1e-4 * rng.uniform(size=(800, 3))
+        assert_matches_oracle(pos, 8, min_skip=min_skip)
+
+    @pytest.mark.parametrize("k_offset", [-1, 0, 5])
+    def test_k_at_least_n_minus_one(self, k_offset):
+        pos = np.random.default_rng(9).uniform(-1, 1, (90, 3))
+        assert_matches_oracle(pos, 89 + k_offset, block=8, min_skip=0)
 
 
 class TestKnn:
