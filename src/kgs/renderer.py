@@ -2,9 +2,10 @@
 
 Forward: deform the dynamic set, gate on the partition, refine covariances
 against predicted velocities, project with the local affine pinhole
-Jacobian, bin splats into pixel tiles by conservative screen-space extent,
-and composite front-to-back per pixel. The backward pass is fully analytic
-and mirrors every stage.
+Jacobian, bin each splat into exactly the pixel tiles whose rectangle of
+pixel centres its footprint {q <= FOOTPRINT_CHI2} reaches (a splat is
+"touched" when it is kept for some tile), and composite front-to-back per
+pixel. The backward pass is fully analytic and mirrors every stage.
 
 A tile is composited in depth-ordered slices of CHUNK splats by one chunk
 step, which the forward and the backward pass share. The forward carries
@@ -108,14 +109,17 @@ class RenderedFrame:
 
 @dataclass
 class RenderTape:
-    pose: dict
-    proj: dict
+    """What render_backward reads. An eval-mode tape keeps only tiles,
+    touched, cam, settings, n and transmittance; pose, proj and
+    chunk_starts are None."""
+    pose: dict | None
+    proj: dict | None
     tiles: list                # per tile, splat indices in depth order
-    touched: np.ndarray        # (N,) splats binned to any tile
+    touched: np.ndarray        # (N,) splats kept for some tile
     cam: Camera
     settings: RenderSettings
     n: int
-    chunk_starts: list         # per tile, (slices, pixels) entering transmittance
+    chunk_starts: list | None  # per tile, (slices, pixels) entering transmittance
     transmittance: np.ndarray  # (H,W) final transmittance
 
 
@@ -317,9 +321,46 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
 # rasterization stage
 # ---------------------------------------------------------------------------
 
-def _bin_tiles(mean2d, cov2d, depth, valid, width, height, tile):
-    """Per tile, the indices of the splats whose square 5-sigma extent
-    overlaps it, in depth order; and the mask of splats on any tile."""
+def _line_min(d, lo, hi, a, b, c):
+    """Least of q = a d^2 + 2 b d t + c t^2 over t in [lo, hi], per row:
+    the footprint quadratic along a line at offset d from the mean."""
+    t = np.minimum(np.maximum(-b * d / c, lo), hi)
+    return a * d * d + 2.0 * b * d * t + c * t * t
+
+
+def _reaches(tx, ty, mx, my, a, b, c, tile, width, height):
+    """Whether the footprint of the splat at (mx, my) with conic (a, b, c)
+    reaches the pixel centres of tile (tx, ty), per pair; see _bin_tiles."""
+    x0 = tx * tile + 0.5
+    y0 = ty * tile + 0.5
+    # offsets from the mean of the first and last pixel centres, and of the
+    # point between them nearest the mean
+    x_lo, x_hi = x0 - mx, np.minimum(x0 + (tile - 1), width - 0.5) - mx
+    y_lo, y_hi = y0 - my, np.minimum(y0 + (tile - 1), height - 0.5) - my
+    x_near = np.minimum(np.maximum(x_lo, 0.0), x_hi)
+    y_near = np.minimum(np.maximum(y_lo, 0.0), y_hi)
+    q_min = np.minimum(_line_min(x_near, y_lo, y_hi, a, b, c),
+                       _line_min(y_near, x_lo, x_hi, c, b, a))
+    return q_min <= FOOTPRINT_CHI2 * (1.0 + 1e-6)
+
+
+def _bin_tiles(proj, width, height, tile):
+    """Per tile, the indices of the splats whose footprint {q <= FOOTPRINT_CHI2}
+    reaches the rectangle of the tile's pixel centres, in depth order; and
+    the mask of splats kept for some tile.
+
+    The candidates are the tiles under each splat's square 5-sigma extent.
+    q is convex with its minimum at the mean, so its least value on a
+    rectangle lies on a side that faces the mean: on the line, along x or
+    along y, through the rectangle's point nearest the mean (through the
+    mean itself when it is inside). A pair is kept when the lesser of q's
+    minima on those two lines is at most FOOTPRINT_CHI2 with a relative
+    slack of 1e-6. That exceeds the rounding of either evaluation of q, a
+    few ulps times the conic's condition number, so every pair the
+    compositor would draw is kept; a dropped pair has G = 0 at every pixel
+    of its tile."""
+    mean2d, cov2d, conic = proj["mean2d"], proj["cov2d"], proj["conic"]
+    depth, valid = proj["depth"], proj["valid"]
     n = mean2d.shape[0]
     mid = 0.5 * (cov2d[:, 0, 0] + cov2d[:, 1, 1])
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
@@ -337,16 +378,22 @@ def _bin_tiles(mean2d, cov2d, depth, valid, width, height, tile):
     order = order[hit]
     lo = lo[hit].astype(np.int64)
     span = hi[hit].astype(np.int64) - lo + 1
-    touched = np.zeros(n, dtype=bool)
-    touched[order] = True
-    # one (tile, splat) pair per covered tile, splats in depth order; a stable
-    # sort by tile keeps that order inside each tile
+    # one candidate (tile, splat) pair per tile under the square, splats in
+    # depth order
     counts = span[:, 0] * span[:, 1]
     owner = np.repeat(np.arange(order.size), counts)
     k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    tid = ((lo[owner, 1] + k // span[owner, 0]) * ntx
-           + lo[owner, 0] + k % span[owner, 0])
-    splats = order[owner[np.argsort(tid, kind="stable")]]
+    row, col = np.divmod(k, span[:, 0][owner])
+    tx = lo[:, 0][owner] + col
+    ty = lo[:, 1][owner] + row
+    keep = _reaches(tx, ty, *mean2d[order].T[:, owner], *conic[order].T[:, owner],
+                    tile, width, height)
+    splats = order[owner[keep]]
+    tid = ty[keep] * ntx + tx[keep]
+    touched = np.zeros(n, dtype=bool)
+    touched[splats] = True
+    # a stable sort by tile keeps depth order inside each tile
+    splats = splats[np.argsort(tid, kind="stable")]
     bounds = np.cumsum(np.bincount(tid, minlength=ntx * nty))[:-1]
     return np.split(splats, bounds), touched
 
@@ -551,9 +598,11 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     sigma = noise_sigma if train else 0.0
     pose = _pose_forward(scene, partition, fieldp, neighbor_table, t, dt,
                          blur_dt, sigma, rng, settings)
+    if not train:
+        # forward only: free the backward's caches before the raster
+        pose = {key: pose[key] for key in ("pos_t", "cov_render", "opac", "colors_c")}
     proj = project(pose["pos_t"], pose["cov_render"], cam)
-    tiles, touched = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                                proj["valid"], cam.width, cam.height, settings.tile)
+    tiles, touched = _bin_tiles(proj, cam.width, cam.height, settings.tile)
     image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,
                                                        settings, scene.n)
     if not np.all(np.isfinite(image)):
@@ -563,6 +612,8 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
                           importance=importance)
     if not want_tape:
         return frame
+    if not train:
+        pose = proj = starts = None
     tape = RenderTape(pose=pose, proj=proj, tiles=tiles, touched=touched,
                       cam=cam, settings=settings, n=scene.n, chunk_starts=starts,
                       transmittance=trans)
@@ -576,6 +627,9 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
     d_image is dLoss/dImage; optional extras inject gradients wrt the applied
     position offsets (regularizer) and the rendered scales (anisotropy term).
     """
+    if tape.pose is None:
+        raise InvalidInputError("backward stage: an eval-mode tape keeps no backward "
+                                "state; render with mode='train' to differentiate")
     d_mean2d, d_conic, d_opac, d_colors = _raster_backward(tape, d_image)
     d_pos_t, d_cov3 = project_backward(tape.proj, tape.cam, d_mean2d, d_conic)
     pose = tape.pose

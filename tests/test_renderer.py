@@ -71,8 +71,7 @@ def render_points(positions, cov3, colors, opacities, cam, settings):
     """Composite bare world-space splats, with no deformation and no
     refinement, through the tiled compositor: project, bin, raster."""
     proj = project(positions, cov3, cam)
-    tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                          proj["valid"], cam.width, cam.height, settings.tile)
+    tiles, _ = _bin_tiles(proj, cam.width, cam.height, settings.tile)
     pose = {"opac": opacities, "colors_c": np.clip(colors, 0.0, 1.0)}
     image, trans, importance, _ = _raster_forward(tiles, cam, proj, pose, settings,
                                                   positions.shape[0])
@@ -93,8 +92,7 @@ class TestTiledMatchesNaive:
         rng = np.random.default_rng(0)
         positions, cov3, _, _ = deep_points(rng, N_DEEP, 2.0, 0.5)
         proj = project(positions, cov3, make_camera())
-        tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                              proj["valid"], 20, 12, 8)
+        tiles, _ = _bin_tiles(proj, 20, 12, 8)
         assert len(tiles) == 6
         assert all(t.size == N_DEEP > 2 * CHUNK for t in tiles)
 
@@ -188,8 +186,7 @@ def kernel_tiles(tile):
     cam = make_camera()
     s = RenderSettings(background=SETTINGS.background, tile=tile)
     proj = project(positions, cov3, cam)
-    tiles, _ = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                          proj["valid"], cam.width, cam.height, tile)
+    tiles, _ = _bin_tiles(proj, cam.width, cam.height, tile)
     ntx = (cam.width + tile - 1) // tile
     rects = [_tile_rect(tid, ntx, tile, cam.width, cam.height) for tid in range(len(tiles))]
     return tiles, rects, proj["mean2d"], proj["conic"], opac, colors, s
@@ -535,9 +532,10 @@ class TestDegenerateScenes:
 # binning and the tape
 # ---------------------------------------------------------------------------
 
-def bin_tiles_loop(mean2d, cov2d, depth, valid, width, height, tile):
-    """Per-splat reference binning over the square 5-sigma extent."""
-    n = mean2d.shape[0]
+def square_bins(proj, width, height, tile):
+    """Per-splat reference of the candidate pass: per tile, the splats whose
+    square 5-sigma extent overlaps it, in depth order."""
+    mean2d, cov2d = proj["mean2d"], proj["cov2d"]
     mid = 0.5 * (cov2d[:, 0, 0] + cov2d[:, 1, 1])
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
     lam_max = mid + np.sqrt(np.maximum(mid * mid - det, 0.0))
@@ -545,22 +543,98 @@ def bin_tiles_loop(mean2d, cov2d, depth, valid, width, height, tile):
     ntx = (width + tile - 1) // tile
     nty = (height + tile - 1) // tile
     tiles = [[] for _ in range(ntx * nty)]
-    touched = np.zeros(n, dtype=bool)
-    order = np.argsort(depth, kind="stable")
-    order = order[valid[order]]
-    for i in order:
+    order = np.argsort(proj["depth"], kind="stable")
+    for i in order[proj["valid"][order]]:
         mx, my, r = mean2d[i, 0], mean2d[i, 1], radius[i]
         tx0 = max(int(np.floor((mx - r) / tile)), 0)
         tx1 = min(int(np.floor((mx + r) / tile)), ntx - 1)
         ty0 = max(int(np.floor((my - r) / tile)), 0)
         ty1 = min(int(np.floor((my + r) / tile)), nty - 1)
-        if tx0 > tx1 or ty0 > ty1:
-            continue
-        touched[i] = True
         for ty in range(ty0, ty1 + 1):
             for tx in range(tx0, tx1 + 1):
                 tiles[ty * ntx + tx].append(i)
-    return [np.asarray(t, dtype=int) for t in tiles], touched
+    return [np.asarray(t, dtype=int) for t in tiles]
+
+
+def footprint_reaches(mean, conic, rect):
+    """Whether q <= FOOTPRINT_CHI2 (relative slack 1e-6) somewhere on the
+    rectangle of rect's pixel centres: 0 with the mean inside it, else the
+    least of each edge's quadratic at its clamped stationary point."""
+    x0, y0, x1, y1 = rect
+    x_lo, x_hi = x0 + 0.5 - mean[0], x1 - 0.5 - mean[0]
+    y_lo, y_hi = y0 + 0.5 - mean[1], y1 - 0.5 - mean[1]
+    if x_lo <= 0.0 <= x_hi and y_lo <= 0.0 <= y_hi:
+        return True
+    a, b, c = conic
+    least = np.inf
+    for d, lo, hi, a_d, c_t in ((x_lo, y_lo, y_hi, a, c), (x_hi, y_lo, y_hi, a, c),
+                                (y_lo, x_lo, x_hi, c, a), (y_hi, x_lo, x_hi, c, a)):
+        t = min(max(-b * d / c_t, lo), hi)
+        least = min(least, a_d * d * d + 2.0 * b * d * t + c_t * t * t)
+    return least <= FOOTPRINT_CHI2 * (1.0 + 1e-6)
+
+
+def bin_tiles_loop(proj, width, height, tile):
+    """Per-pair reference binning: each square candidate, kept when its
+    footprint reaches the tile's pixel centres."""
+    ntx = (width + tile - 1) // tile
+    tiles, touched = [], np.zeros(proj["mean2d"].shape[0], dtype=bool)
+    for tid, cand in enumerate(square_bins(proj, width, height, tile)):
+        rect = _tile_rect(tid, ntx, tile, width, height)
+        kept = [i for i in cand if footprint_reaches(proj["mean2d"][i], proj["conic"][i], rect)]
+        touched[kept] = True
+        tiles.append(np.asarray(kept, dtype=int))
+    return tiles, touched
+
+
+def check_binning(proj, width, height, tile):
+    """_bin_tiles against the per-pair loop, as depth-ordered subsets of the
+    square lists, and every dropped pair by brute force: the chunk step
+    gives it q > FOOTPRINT_CHI2 and G = 0 at every pixel of its tile.
+    Returns the number of dropped pairs."""
+    tiles, touched = _bin_tiles(proj, width, height, tile)
+    want_tiles, want_touched = bin_tiles_loop(proj, width, height, tile)
+    square = square_bins(proj, width, height, tile)
+    np.testing.assert_array_equal(touched, want_touched)
+    assert len(tiles) == len(want_tiles) == len(square)
+    ntx = (width + tile - 1) // tile
+    s = RenderSettings(tile=tile)
+    n = proj["mean2d"].shape[0]
+    kept_anywhere = np.zeros(n, dtype=bool)
+    dropped = 0
+    for tid, (got, want, sq) in enumerate(zip(tiles, want_tiles, square)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        at = {int(i): j for j, i in enumerate(sq)}
+        assert np.all(np.diff([at[int(i)] for i in got]) > 0)
+        assert np.all(np.diff(proj["depth"][got]) >= 0)
+        kept_anywhere[got] = True
+        gone = np.setdiff1d(sq, got)
+        dropped += gone.size
+        xs, ys = _pixel_axes(_tile_rect(tid, ntx, tile, width, height))
+        for lo in range(0, gone.size, CHUNK):
+            sl = gone[lo:lo + CHUNK]
+            _, _, q, G, *_ = _chunk_step(sl, xs, ys, np.ones(xs.size * ys.size),
+                                         proj["mean2d"], proj["conic"], np.ones(n), s)
+            assert np.all(q > FOOTPRINT_CHI2) and not G.any()
+    np.testing.assert_array_equal(touched, kept_anywhere)
+    return dropped
+
+
+def screen_projection(mean2d, sigma_major, sigma_minor, angle):
+    """A projection of screen-space splats, valid and at increasing depth,
+    with the covariance and conic that project would give them."""
+    mean2d = np.asarray(mean2d, dtype=float)
+    n = mean2d.shape[0]
+    cos, sin = np.cos(angle), np.sin(angle)
+    R = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+    var = np.stack([np.square(sigma_major), np.square(sigma_minor)], -1)
+    cov2d = (R * var[:, None, :]) @ np.swapaxes(R, 1, 2)
+    det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
+    conic = np.stack([cov2d[:, 1, 1] / det, -cov2d[:, 0, 1] / det, cov2d[:, 0, 0] / det],
+                     axis=-1)
+    return {"mean2d": mean2d, "cov2d": cov2d, "conic": conic,
+            "depth": np.arange(1.0, n + 1.0), "valid": np.ones(n, dtype=bool)}
 
 
 def scattered_projection(seed, n=400, width=37, height=29):
@@ -578,22 +652,54 @@ def scattered_projection(seed, n=400, width=37, height=29):
 class TestBinning:
     @pytest.mark.parametrize("seed,tile", [(0, 16), (1, 8), (2, 5)])
     def test_matches_per_splat_loop(self, seed, tile):
+        """Splats on and off screen and behind the camera; at tile 5 the
+        37x29 image has partial edge tiles. Some splats' squares reach the
+        image but their footprints do not: they are not touched."""
         proj, cam = scattered_projection(seed)
-        args = (proj["mean2d"], proj["cov2d"], proj["depth"], proj["valid"],
-                cam.width, cam.height, tile)
-        tiles, touched = _bin_tiles(*args)
-        want_tiles, want_touched = bin_tiles_loop(*args)
-        assert (~proj["valid"]).any() and (~want_touched & proj["valid"]).any()
-        np.testing.assert_array_equal(touched, want_touched)
-        assert len(tiles) == len(want_tiles)
-        for got, want in zip(tiles, want_tiles):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert check_binning(proj, cam.width, cam.height, tile) > 0
+        _, touched = _bin_tiles(proj, cam.width, cam.height, tile)
+        on_square = np.zeros_like(touched)
+        on_square[np.concatenate(square_bins(proj, cam.width, cam.height, tile))] = True
+        assert (~proj["valid"]).any() and (proj["valid"] & ~on_square).any()
+        assert (on_square & ~touched).any()
+
+    def test_partial_edge_tiles(self):
+        """20x12 at tile 8: the last column and row of tiles are 4 pixels."""
+        rng = np.random.default_rng(4)
+        n = 60
+        proj = screen_projection(rng.uniform([-4.0, -4.0], [24.0, 16.0], (n, 2)),
+                                 rng.uniform(0.5, 4.0, n), rng.uniform(0.55, 1.0, n),
+                                 rng.uniform(0.0, np.pi, n))
+        assert check_binning(proj, 20, 12, 8) > 0
+
+    @pytest.mark.parametrize("shift,kept", [(0.0, True), (1e-3, False)])
+    def test_ellipse_grazing_a_tile_corner(self, shift, kept):
+        """A round unit-variance splat, whose footprint is the circle of
+        radius 5, reaching exactly the corner pixel centre (8.5, 8.5) of
+        tile (1, 1) is kept there; moved away by 1e-3 px it is dropped."""
+        proj = screen_projection([[5.5 - shift, 4.5]], [1.0], [1.0], [0.0])
+        assert 9.0 + 16.0 == FOOTPRINT_CHI2
+        tiles, touched = _bin_tiles(proj, 20, 12, 8)
+        assert (tiles[4].size == 1) == kept and touched[0]
+        check_binning(proj, 20, 12, 8)
+
+    def test_needle_across_tile_diagonals(self):
+        """40:1 needles crossing the tiles diagonally, one with its mean off
+        screen, keep the tiles along their axis and drop most of the square."""
+        proj = screen_projection([[32.0, 32.0], [-30.0, 10.0], [40.0, 20.0]],
+                                 [40.0, 30.0, 20.0], [1.0, 0.75, 0.5],
+                                 [np.pi / 4, np.pi / 6, -np.pi / 4])
+        tiles, touched = _bin_tiles(proj, 64, 64, 8)
+        assert touched.all()
+        per_splat = np.bincount(np.concatenate(tiles), minlength=3)
+        square = np.bincount(np.concatenate(square_bins(proj, 64, 64, 8)), minlength=3)
+        assert np.all(per_splat < square // 2)
+        assert check_binning(proj, 64, 64, 8) > 64
 
     def test_nothing_visible(self):
         proj, cam = scattered_projection(3, n=5)
-        tiles, touched = _bin_tiles(proj["mean2d"], proj["cov2d"], proj["depth"],
-                                    np.zeros(5, dtype=bool), cam.width, cam.height, 16)
+        proj["valid"] = np.zeros(5, dtype=bool)
+        tiles, touched = _bin_tiles(proj, cam.width, cam.height, 16)
         assert len(tiles) == 6 and all(t.size == 0 for t in tiles)
         assert not touched.any()
 
@@ -601,16 +707,18 @@ class TestBinning:
 class TestTape:
     def test_fields_read_by_tracing(self):
         """A traced benchmark run counts pixel x splat pairs from tape.tiles,
-        tape.cam and tape.settings.tile, and touched splats from tape.touched."""
+        tape.cam and tape.settings.tile, and touched splats from
+        tape.touched, on eval-mode tapes, which keep no backward state."""
         scene, fieldp, partition, table, cam = deep_scene(8, n=60, opacity=0.3)
         scene.positions[:5, 2] -= 10.0     # behind the camera
         s = RenderSettings(background=SETTINGS.background, tile=6)
         frame, tape = render(scene, partition, fieldp, cam, 0.5, s, mode="eval",
                              neighbor_table=table, want_tape=True)
-        proj = tape.proj
-        want_tiles, want_touched = bin_tiles_loop(
-            proj["mean2d"], proj["cov2d"], proj["depth"], proj["valid"],
-            cam.width, cam.height, s.tile)
+        assert tape.pose is None and tape.proj is None and tape.chunk_starts is None
+        pose = renderer._pose_forward(scene, partition, fieldp, table, 0.5, 1.0, 0.0,
+                                      0.0, None, s)
+        proj = project(pose["pos_t"], pose["cov_render"], cam)
+        want_tiles, want_touched = bin_tiles_loop(proj, cam.width, cam.height, s.tile)
         assert tape.cam is cam and tape.settings.tile == 6
         np.testing.assert_array_equal(tape.touched, want_touched)
         assert 0 < np.count_nonzero(tape.touched) < scene.n
@@ -625,6 +733,13 @@ class TestTape:
             pairs += area * len(idx)
             want_pairs += area * want.size
         assert pairs == want_pairs > 0
+
+    def test_backward_of_eval_tape_rejected(self):
+        scene, fieldp, partition, table, cam = deep_scene(8, n=60, opacity=0.3)
+        frame, tape = render(scene, partition, fieldp, cam, 0.5, SETTINGS, mode="eval",
+                             neighbor_table=table, want_tape=True)
+        with pytest.raises(InvalidInputError, match="backward stage: an eval-mode tape"):
+            render_backward(tape, np.ones_like(frame.image), fieldp)
 
     def test_replay_is_bit_identical(self):
         """Compositing again from the tape reproduces the forward image."""
