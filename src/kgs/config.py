@@ -107,15 +107,10 @@ class RunConfig:
             tile=self.render_tile,
             kappa=self.kin_kappa, lambda_s=self.kin_lambda_s,
             refine_enabled=self.kin_enabled, coarse_fine=self.cf_enabled,
-            clamps=self.clamps(), lod=self.lod())
-
-    def clamps(self) -> OffsetClamps:
-        return OffsetClamps(max_dx_norm=self.clamp_dx, max_dr_norm=self.clamp_dr,
-                            max_ds_abs=self.clamp_ds)
-
-    def lod(self) -> LodConfig:
-        return LodConfig(l_max=self.lod_l_max, lam=self.lod_lambda,
-                         rho=self.lod_rho, q_prune=self.lod_q_prune)
+            clamps=OffsetClamps(max_dx_norm=self.clamp_dx, max_dr_norm=self.clamp_dr,
+                                max_ds_abs=self.clamp_ds),
+            lod=LodConfig(l_max=self.lod_l_max, lam=self.lod_lambda,
+                          rho=self.lod_rho, q_prune=self.lod_q_prune))
 
     def densify(self) -> DensifyConfig:
         return DensifyConfig(
@@ -163,7 +158,10 @@ _BOUNDS = {"render_tile": "[1, inf)", "k_neighbors": "[0, inf)", "batch": "[1, i
            "lod_rho": "(0, 1)", "lod_lambda": "(0, inf)", "lod_q_prune": "[0, 1]",
            "noise_w_delay": "(0, 1]", "noise_sigma_init": "[0, inf)",
            "noise_sigma_final": "[0, inf)", "clamp_dx": "[0, inf)",
-           "clamp_dr": "[0, inf)", "clamp_ds": "[0, inf)",
+           "clamp_dr": "[0, inf)", "clamp_ds": "[0, inf)", "hidden": "[1, inf)",
+           "time_bands": "[1, inf)", "lod_l_max": "[1, inf)", "pos_bands": "[0, inf)",
+           "feature_dim": "[0, inf)", "loss_lambda_dssim": "[0, 1]",
+           "loss_lambda_reg": "[0, inf)", "loss_lambda_ani": "[0, inf)",
            **{f.name: "[0, inf)" for f in fields(RunConfig) if f.name.startswith("lr_")}}
 
 

@@ -14,68 +14,47 @@ import numpy as np
 from .deform import OffsetClamps, predict_offsets_batch
 from .gaussians import InvalidInputError
 
-DEFAULT_TAU = 2e-5
-DEFAULT_SAMPLES = 16
-DEFAULT_WARMUP = 3000
-DEFAULT_REPEAT = 2000
-
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint dynamic/static index sets covering all splats."""
+    """Which splats are dynamic (a bool mask over all splats; the rest are
+    static), with the variance scores the mask was classified from."""
 
-    dynamic_indices: np.ndarray
-    static_indices: np.ndarray
+    dynamic: np.ndarray
     scores: np.ndarray
 
     @property
-    def n(self):
-        return self.scores.shape[0]
-
-    def dynamic_mask(self):
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.dynamic_indices] = True
-        return mask
-
-    @staticmethod
-    def from_mask(dynamic, scores):
-        idx = np.arange(dynamic.shape[0])
-        return Partition(dynamic_indices=idx[dynamic], static_indices=idx[~dynamic],
-                         scores=scores)
+    def dynamic_indices(self):
+        return np.flatnonzero(self.dynamic)
 
 
 def all_dynamic_partition(n):
     """Before the first evaluation every splat is treated as dynamic."""
-    return Partition(dynamic_indices=np.arange(n),
-                     static_indices=np.arange(0),
-                     scores=np.full(n, np.inf))
+    return Partition(dynamic=np.ones(n, dtype=bool), scores=np.full(n, np.inf))
 
 
 def deformation_variance(offset_samples):
     """Per-splat temporal variance score of position offsets.
 
-    offset_samples has shape (T, N, 3) (or (T, 3) for one splat): the mean
-    squared distance of the T samples from their temporal mean.
+    offset_samples has shape (T, N, 3): the (N,) mean squared distance of
+    each splat's T samples from their temporal mean.
     """
     samples = np.asarray(offset_samples, dtype=float)
-    if samples.ndim == 2:
-        samples = samples[:, None, :]
     if samples.shape[0] < 2:
         raise InvalidInputError("need at least two offset samples")
     centered = samples - samples.mean(axis=0, keepdims=True)
-    scores = np.mean(np.sum(centered**2, axis=-1), axis=0)
-    return scores if scores.size > 1 else float(scores[0])
+    return np.mean(np.sum(centered**2, axis=-1), axis=0)
 
 
-def classify(scores, tau=DEFAULT_TAU) -> Partition:
+def classify(scores, tau) -> Partition:
     """Strict-greater threshold on the variance scores."""
     if tau < 0:
         raise InvalidInputError("tau must be >= 0")
     scores = np.asarray(scores, dtype=float)
-    return Partition.from_mask(scores > tau, scores)
+    return Partition(dynamic=scores > tau, scores=scores)
 
 
-def evaluate_partition_schedule(iteration, warmup=DEFAULT_WARMUP, repeat=DEFAULT_REPEAT):
+def evaluate_partition_schedule(iteration, warmup, repeat):
     """True at the warmup iteration and every `repeat` iterations after."""
     if iteration < warmup:
         return False
@@ -83,7 +62,7 @@ def evaluate_partition_schedule(iteration, warmup=DEFAULT_WARMUP, repeat=DEFAULT
 
 
 def compute_scores(field, positions, quats, log_scales, clamps: OffsetClamps,
-                   n_samples=DEFAULT_SAMPLES):
+                   n_samples):
     """Variance scores from noise-free offset predictions on a stratified
     timestamp grid over [0, 1]."""
     ts = (np.arange(n_samples) + 0.5) / n_samples
@@ -97,8 +76,7 @@ def compute_scores(field, positions, quats, log_scales, clamps: OffsetClamps,
 
 def write_partition_dump(path, partition: Partition):
     """One `index,score,label` line per splat, for offline inspection."""
-    mask = partition.dynamic_mask()
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(partition.n):
-            label = "dynamic" if mask[i] else "static"
-            fh.write(f"{i},{partition.scores[i]:.12g},{label}\n")
+        for i, (dynamic, score) in enumerate(zip(partition.dynamic, partition.scores)):
+            label = "dynamic" if dynamic else "static"
+            fh.write(f"{i},{score:.12g},{label}\n")

@@ -35,35 +35,24 @@ FIELD_PARAMS = ("w1", "b1", "w2", "b2", "fine_w1", "fine_b1", "fine_w2", "fine_b
 # encodings
 # ---------------------------------------------------------------------------
 
-def positional_encoding(t, bands):
-    """Interleaved (sin, cos) frequency encoding of a scalar in [0,1]."""
-    if bands < 1:
-        raise InvalidInputError("band count must be >= 1")
-    freqs = (2.0 ** np.arange(bands)) * np.pi
-    arg = freqs * float(t)
-    out = np.empty(2 * bands)
-    out[0::2] = np.sin(arg)
-    out[1::2] = np.cos(arg)
-    return out
-
-
 def encode_coords(x, bands):
-    """Per-coordinate frequency encoding: (N,3) -> (N, 6*bands)."""
+    """Interleaved (sin, cos) frequency encoding of each coordinate:
+    (..., d) -> (..., 2 * d * bands)."""
     x = np.asarray(x, dtype=float)
     freqs = (2.0 ** np.arange(bands)) * np.pi
-    arg = x[..., :, None] * freqs                        # (N, 3, bands)
-    enc = np.empty(x.shape[:-1] + (3, 2 * bands))
+    arg = x[..., None] * freqs                           # (..., d, bands)
+    enc = np.empty(arg.shape[:-1] + (2 * bands,))
     enc[..., 0::2] = np.sin(arg)
     enc[..., 1::2] = np.cos(arg)
-    return enc.reshape(x.shape[:-1] + (6 * bands,))
+    return enc.reshape(x.shape[:-1] + (2 * x.shape[-1] * bands,))
 
 
 def encode_coords_backward(x, bands, d_enc):
-    """Chain d(encoding)/dx: d_enc (N, 6*bands) -> (N, 3)."""
+    """Chain d(encoding)/dx: d_enc (..., 2 * d * bands) -> (..., d)."""
     x = np.asarray(x, dtype=float)
     freqs = (2.0 ** np.arange(bands)) * np.pi
-    arg = x[..., :, None] * freqs
-    d = d_enc.reshape(x.shape[:-1] + (3, 2 * bands))
+    arg = x[..., None] * freqs
+    d = d_enc.reshape(arg.shape[:-1] + (2 * bands,))
     dsin = d[..., 0::2] * np.cos(arg) * freqs
     dcos = d[..., 1::2] * (-np.sin(arg)) * freqs
     return (dsin + dcos).sum(axis=-1)
@@ -122,10 +111,6 @@ class FieldParams:
     time_bands: int
     pos_bands: int
 
-    @property
-    def feature_dim(self):
-        return self.features.shape[1]
-
     def param_items(self):
         """(name, array) pairs of everything the optimizer updates."""
         return [(name, getattr(self, name)) for name in FIELD_PARAMS]
@@ -152,30 +137,8 @@ def init_field_params(rng, n_gaussians, hidden=64, time_bands=6, pos_bands=4,
         time_bands=time_bands, pos_bands=pos_bands)
 
 
-def mlp_forward(x, w1, b1, w2, b2, layer_name="predictor"):
-    h_pre = x @ w1.T + b1
-    h = np.maximum(h_pre, 0.0)
-    out = h @ w2.T + b2
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        raise NumericalError(f"{layer_name}: non-finite output in row {int(np.argmax(bad))}")
-    return out, (x, h_pre, h)
-
-
-def mlp_backward(cache, w1, w2, d_out):
-    x, h_pre, h = cache
-    d_w2 = d_out.T @ h
-    d_b2 = d_out.sum(axis=0)
-    d_h = d_out @ w2
-    d_hpre = d_h * (h_pre > 0)
-    d_w1 = d_hpre.T @ x
-    d_b1 = d_hpre.sum(axis=0)
-    d_x = d_hpre @ w1
-    return d_w1, d_b1, d_w2, d_b2, d_x
-
-
 # ---------------------------------------------------------------------------
-# offset clamps
+# offset heads: a ReLU MLP, then bounds on its offsets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -225,6 +188,33 @@ def _clamp_norm_backward(cache, d_out):
     return d_v
 
 
+def offset_head(x, w1, b1, w2, b2, clamps: OffsetClamps, layer_name):
+    """Clamped (N,9) offsets of a one-hidden-layer ReLU MLP over input rows
+    x; returns (offsets, cache) for offset_head_backward."""
+    h_pre = x @ w1.T + b1
+    h = np.maximum(h_pre, 0.0)
+    raw = h @ w2.T + b2
+    bad = ~np.isfinite(raw).all(axis=1)
+    if bad.any():
+        raise NumericalError(f"{layer_name}: non-finite output in row {int(np.argmax(bad))}")
+    offsets, clamp_cache = clamp_offsets(raw, clamps)
+    return offsets, (x, h_pre, h, clamp_cache)
+
+
+def offset_head_backward(cache, w1, w2, d_offsets):
+    """Returns (d_w1, d_b1, d_w2, d_b2, d_x)."""
+    x, h_pre, h, clamp_cache = cache
+    d_out = clamp_offsets_backward(clamp_cache, d_offsets)
+    d_w2 = d_out.T @ h
+    d_b2 = d_out.sum(axis=0)
+    d_h = d_out @ w2
+    d_hpre = d_h * (h_pre > 0)
+    d_w1 = d_hpre.T @ x
+    d_b1 = d_hpre.sum(axis=0)
+    d_x = d_hpre @ w1
+    return d_w1, d_b1, d_w2, d_b2, d_x
+
+
 # ---------------------------------------------------------------------------
 # predictor forward/backward
 # ---------------------------------------------------------------------------
@@ -238,7 +228,7 @@ def predict_offsets_batch(params: FieldParams, positions, quats, log_scales, t,
     runs leave the rng untouched.
     """
     n = positions.shape[0]
-    enc_t = positional_encoding(t, params.time_bands)
+    enc_t = encode_coords([t], params.time_bands)
     gamma = np.broadcast_to(enc_t, (n, enc_t.size)).copy()
     if noise_sigma > 0.0:
         if rng is None:
@@ -246,12 +236,9 @@ def predict_offsets_batch(params: FieldParams, positions, quats, log_scales, t,
         gamma += rng.normal(0.0, noise_sigma, (n, enc_t.size))
     enc_x = encode_coords(positions, params.pos_bands)
     inputs = np.concatenate([enc_x, quats, log_scales, gamma], axis=1)
-    raw, mlp_cache = mlp_forward(inputs, params.w1, params.b1, params.w2,
-                                 params.b2, "predictor")
-    clamped, clamp_cache = clamp_offsets(raw, clamps)
-    cache = {"mlp": mlp_cache, "clamp": clamp_cache, "positions": positions,
-             "pos_bands": params.pos_bands, "time_bands": params.time_bands}
-    return clamped, cache
+    offsets, head = offset_head(inputs, params.w1, params.b1, params.w2, params.b2,
+                                clamps, "predictor")
+    return offsets, {"head": head, "positions": positions}
 
 
 def predict_offsets_backward(params: FieldParams, cache, d_offsets):
@@ -260,11 +247,10 @@ def predict_offsets_backward(params: FieldParams, cache, d_offsets):
     Returns (d_w1, d_b1, d_w2, d_b2, d_positions, d_quats, d_log_scales);
     gradients flow into the canonical parameters through the encoder inputs.
     """
-    d_raw = clamp_offsets_backward(cache["clamp"], d_offsets)
-    d_w1, d_b1, d_w2, d_b2, d_inputs = mlp_backward(cache["mlp"], params.w1,
-                                                    params.w2, d_raw)
-    n_enc = 6 * cache["pos_bands"]
-    d_positions = encode_coords_backward(cache["positions"], cache["pos_bands"],
+    d_w1, d_b1, d_w2, d_b2, d_inputs = offset_head_backward(cache["head"], params.w1,
+                                                            params.w2, d_offsets)
+    n_enc = 6 * params.pos_bands
+    d_positions = encode_coords_backward(cache["positions"], params.pos_bands,
                                          d_inputs[:, :n_enc])
     d_quats = d_inputs[:, n_enc:n_enc + 4]
     d_log_scales = d_inputs[:, n_enc + 4:n_enc + 7]
@@ -274,22 +260,18 @@ def predict_offsets_backward(params: FieldParams, cache, d_offsets):
 def fine_offsets_batch(params: FieldParams, feature_rows, t, clamps: OffsetClamps):
     """Fine residual offsets for the dynamic subset from its feature rows."""
     n = feature_rows.shape[0]
-    enc_t = positional_encoding(t, params.time_bands)
+    enc_t = encode_coords([t], params.time_bands)
     inputs = np.concatenate([feature_rows,
                              np.broadcast_to(enc_t, (n, enc_t.size))], axis=1)
-    raw, mlp_cache = mlp_forward(inputs, params.fine_w1, params.fine_b1,
-                                 params.fine_w2, params.fine_b2, "fine head")
-    clamped, clamp_cache = clamp_offsets(raw, clamps)
-    return clamped, {"mlp": mlp_cache, "clamp": clamp_cache,
-                     "feature_dim": feature_rows.shape[1]}
+    return offset_head(inputs, params.fine_w1, params.fine_b1, params.fine_w2,
+                       params.fine_b2, clamps, "fine head")
 
 
 def fine_offsets_backward(params: FieldParams, cache, d_offsets):
-    d_raw = clamp_offsets_backward(cache["clamp"], d_offsets)
-    d_w1, d_b1, d_w2, d_b2, d_inputs = mlp_backward(
-        cache["mlp"], params.fine_w1, params.fine_w2, d_raw)
-    d_features = d_inputs[:, :cache["feature_dim"]]
-    return d_w1, d_b1, d_w2, d_b2, d_features
+    """Returns (d_w1, d_b1, d_w2, d_b2, d_feature_rows)."""
+    d_w1, d_b1, d_w2, d_b2, d_inputs = offset_head_backward(
+        cache, params.fine_w1, params.fine_w2, d_offsets)
+    return d_w1, d_b1, d_w2, d_b2, d_inputs[:, :params.features.shape[1]]
 
 
 # ---------------------------------------------------------------------------

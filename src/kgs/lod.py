@@ -50,25 +50,16 @@ class DensifyConfig:
     max_gaussians: int = 100000
 
 
-def min_scale(level, cfg: LodConfig):
-    """Scale floor at a level: zero at the finest level, geometric elsewhere."""
-    if level < 1 or level > cfg.l_max:
-        raise InvalidInputError(f"level {level} outside [1, {cfg.l_max}]")
-    if level == cfg.l_max:
-        return 0.0
-    return cfg.lam * cfg.rho**(1 - level)
-
-
 def min_scale_per_gaussian(levels, cfg: LodConfig):
-    """Scale floor per splat; raises naming the first splat whose level is
-    outside [1, l_max]."""
+    """Scale floor per splat: lam * rho**(1 - level), and zero at the finest
+    level. Raises naming the first splat whose level is outside [1, l_max]."""
     levels = np.asarray(levels, dtype=int)
     bad = ((levels < 1) | (levels > cfg.l_max)).reshape(-1)
     if bad.any():
         i = int(np.argmax(bad))
         raise InvalidInputError(f"splat {i}: level {levels.reshape(-1)[i]} "
                                 f"outside [1, {cfg.l_max}]")
-    table = np.array([min_scale(l, cfg) for l in range(1, cfg.l_max + 1)])
+    table = np.array([cfg.lam * cfg.rho**(1 - l) for l in range(1, cfg.l_max)] + [0.0])
     return table[levels - 1]
 
 

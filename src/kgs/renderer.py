@@ -164,8 +164,8 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
                   blur_dt, noise_sigma, rng, s: RenderSettings):
     n = scene.n
     _check_pose(n, scene.positions, scene.quaternions, scene.log_scales)
-    dyn = partition.dynamic_mask()
-    dyn_idx = np.where(dyn)[0]
+    dyn = partition.dynamic
+    dyn_idx = partition.dynamic_indices
     q_n = quat_normalize(scene.quaternions)
 
     raw, pred_cache = predict_offsets_batch(

@@ -1,22 +1,22 @@
 """Scene container (struct-of-arrays over splats) and checkpoint I/O.
 
-Checkpoints are a versioned little-endian binary: 4-byte magic ``KGS1``, a
-uint32 header length, a UTF-8 JSON header describing every array field
-(name, dtype, shape) plus scalar metadata, then the raw arrays concatenated
-in header order. ``train.save_checkpoint`` says which fields a training
-state writes.
+A checkpoint is an uncompressed ``np.savez`` archive: one entry per named
+array, plus ``header``, a 0-d string array holding the JSON text
+``{"version": VERSION, "meta": {...}}``. Each zip member carries a CRC-32,
+so a damaged file fails to load; arrays load with pickling off.
+``train.save_checkpoint`` says which fields a training state writes.
 """
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .gaussians import InvalidInputError, quat_normalize
 
-MAGIC = b"KGS1"
-VERSION = 1
+VERSION = 2
 
 # The Scene arrays the optimizer updates; levels and importance are not.
 SCENE_PARAMS = ("positions", "quaternions", "log_scales", "opacity_logits", "colors")
@@ -89,41 +89,21 @@ def random_scene(rng, count, bound, scale=0.05, opacity=0.1, level=1):
 
 def write_checkpoint(path, arrays: dict, meta: dict):
     """Write named arrays plus JSON-serializable metadata."""
-    specs = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dt = arr.dtype.newbyteorder("<")
-        blob = arr.astype(dt, copy=False).tobytes()
-        specs.append({"name": name, "dtype": dt.str, "shape": list(arr.shape)})
-        blobs.append(blob)
-    header = json.dumps({"version": VERSION, "fields": specs, "meta": meta},
-                        sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.array(len(header), dtype="<u4").tobytes())
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    header = json.dumps({"version": VERSION, "meta": meta}, sort_keys=True)
+    with open(path, "wb") as fh:  # a file object: np.savez would append .npz to a path
+        np.savez(fh, header=np.array(header), **arrays)
 
 
 def read_checkpoint(path):
     """Read back (arrays, meta) written by write_checkpoint."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise InvalidInputError(f"bad checkpoint magic {magic!r} in {path}")
-        (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
-        header = json.loads(fh.read(int(hlen)).decode("utf-8"))
-        if header.get("version") != VERSION:
-            raise InvalidInputError(
-                f"unsupported checkpoint version {header.get('version')!r} in {path}")
-        arrays = {}
-        for f in header["fields"]:
-            dt = np.dtype(f["dtype"])
-            count = int(np.prod(f["shape"])) if f["shape"] else 1
-            buf = fh.read(dt.itemsize * count)
-            if len(buf) != dt.itemsize * count:
-                raise InvalidInputError(f"truncated checkpoint field {f['name']}")
-            arrays[f["name"]] = np.frombuffer(buf, dtype=dt).reshape(f["shape"]).copy()
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            header = json.loads(str(archive["header"]))
+            arrays = {name: archive[name] for name in archive.files if name != "header"}
+    # TypeError: a plain .npy file loads as an array, not as an archive
+    except (zipfile.BadZipFile, ValueError, KeyError, EOFError, TypeError) as err:
+        raise InvalidInputError(f"unreadable checkpoint {path}: {err}") from err
+    if header.get("version") != VERSION:
+        raise InvalidInputError(
+            f"unsupported checkpoint version {header.get('version')!r} in {path}")
     return arrays, header["meta"]

@@ -138,8 +138,8 @@ class TrainState:
             self.adam.v[name] = fresh(self.adam.v[name])
         self.grad_accum = fresh(self.grad_accum)
         self.grad_count = fresh(self.grad_count)
-        self.partition = Partition.from_mask(rows(self.partition.dynamic_mask()),
-                                             rows(self.partition.scores))
+        self.partition = Partition(dynamic=rows(self.partition.dynamic),
+                                   scores=rows(self.partition.scores))
 
 
 def param_arrays(scene: Scene, fieldp: FieldParams):
@@ -271,11 +271,11 @@ def save_checkpoint(path, state: TrainState, config_dict: dict):
     arrays = {**state.scene.per_gaussian_arrays(), **dict(state.fieldp.param_items()),
               **state.adam.state_arrays()}
     arrays["partition_scores"] = state.partition.scores
-    arrays["partition_dynamic"] = state.partition.dynamic_mask().astype(np.uint8)
+    arrays["partition_dynamic"] = state.partition.dynamic
     arrays["grad_accum"] = state.grad_accum
     arrays["grad_count"] = state.grad_count
     if state.neighbor_table is not None:
-        arrays["neighbor_table"] = state.neighbor_table.astype(np.int64)
+        arrays["neighbor_table"] = state.neighbor_table
     meta = {
         "iteration": state.iteration,
         "adam_t": state.adam.t,
@@ -292,8 +292,8 @@ def load_checkpoint(path):
     arrays, meta = read_checkpoint(path)
     scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
     fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
-    partition = Partition.from_mask(arrays["partition_dynamic"].astype(bool),
-                                    arrays["partition_scores"])
+    partition = Partition(dynamic=arrays["partition_dynamic"],
+                          scores=arrays["partition_scores"])
     adam = make_adam(scene, fieldp)
     adam.load_state_arrays(arrays)
     adam.t = meta["adam_t"]

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from kgs.config import (
@@ -12,6 +13,7 @@ from kgs.config import (
     config_to_dict,
     load_config,
 )
+from kgs.deform import fine_offsets_batch, init_field_params, predict_offsets_batch
 
 
 class TestRoundTrip:
@@ -169,7 +171,10 @@ class TestRejects:
         ("noise.w_delay", 1.5), ("lod.q_prune", 1.5), ("lod.q_prune", -0.1),
         ("clamp.dx", -1.0), ("clamp.dr", -0.5), ("clamp.ds", -2.0),
         ("noise.sigma_final", -0.01), ("noise.sigma_final", 0.5),
-        ("noise.sigma_init", -0.1),
+        ("noise.sigma_init", -0.1), ("field.hidden", 0), ("field.hidden", -1),
+        ("field.time_bands", 0), ("field.pos_bands", -1), ("field.feature_dim", -2),
+        ("lod.l_max", 0), ("loss.lambda_dssim", 1.5), ("loss.lambda_dssim", -0.1),
+        ("loss.lambda_reg", -0.01), ("loss.lambda_ani", -0.001),
     ])
     def test_out_of_range_names_the_key(self, key, value):
         """Rejected when loaded, not later in a bundle or mid-run."""
@@ -188,13 +193,24 @@ class TestRejects:
     @pytest.mark.parametrize("flat", [
         {"densify.reset_value": 0.999, "lod.rho": 1e-9, "lod.lambda": 1e-12,
          "noise.w_delay": 1.0, "lod.q_prune": 0.0, "clamp.dx": 0.0,
-         "clamp.dr": 0.0, "clamp.ds": 0.0, "noise.sigma_final": 0.0},
-        {"lod.q_prune": 1.0, "noise.sigma_init": 0.0, "noise.sigma_final": 0.0},
+         "clamp.dr": 0.0, "clamp.ds": 0.0, "noise.sigma_final": 0.0,
+         "field.hidden": 1, "field.time_bands": 1, "field.pos_bands": 0,
+         "field.feature_dim": 0, "lod.l_max": 1, "loss.lambda_dssim": 0.0,
+         "loss.lambda_reg": 0.0, "loss.lambda_ani": 0.0},
+        {"lod.q_prune": 1.0, "noise.sigma_init": 0.0, "noise.sigma_final": 0.0,
+         "loss.lambda_dssim": 1.0},
     ], ids=["low_ends", "high_ends"])
     def test_range_ends_load_and_build(self, flat):
-        """Closed ends load, and every bundle builds from them."""
+        """Closed ends load, every bundle builds from them, and both offset
+        heads of a field built from them predict."""
         cfg = config_from_dict(flat)
-        cfg.render_settings(), cfg.densify(), cfg.noise_schedule()
+        settings, _, _ = cfg.render_settings(), cfg.densify(), cfg.noise_schedule()
+        fieldp = init_field_params(np.random.default_rng(0), 3, cfg.hidden, cfg.time_bands,
+                                   cfg.pos_bands, cfg.feature_dim)
+        x, q = np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        out, _ = predict_offsets_batch(fieldp, x, q, x, 0.5, 0.0, None, settings.clamps)
+        fine, _ = fine_offsets_batch(fieldp, fieldp.features, 0.5, settings.clamps)
+        assert out.shape == fine.shape == (3, 9)
 
     def test_zero_neighbors_allowed(self):
         assert config_from_dict({"cf.k": 0}).k_neighbors == 0

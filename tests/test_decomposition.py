@@ -40,8 +40,8 @@ class TestDeformationVariance:
     def test_alternating_two_point(self):
         a = 0.7
         e = np.array([0.0, 1.0, 0.0])
-        samples = np.stack([a * e if t % 2 == 0 else -a * e for t in range(10)])
-        assert deformation_variance(samples) == pytest.approx(a**2)
+        samples = np.stack([a * e if t % 2 == 0 else -a * e for t in range(10)])[:, None]
+        np.testing.assert_allclose(deformation_variance(samples), [a**2], rtol=1e-12)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(0)
@@ -74,25 +74,25 @@ class TestClassify:
     def test_all_static(self):
         p = classify(np.zeros(5), 2e-5)
         assert p.dynamic_indices.size == 0
-        assert p.static_indices.size == 5
+        np.testing.assert_array_equal(p.dynamic, np.zeros(5, dtype=bool))
 
     def test_split(self):
         p = classify(np.array([0.0, 1e-3]), 2e-5)
         np.testing.assert_array_equal(p.dynamic_indices, [1])
-        np.testing.assert_array_equal(p.static_indices, [0])
+        np.testing.assert_array_equal(p.dynamic, [False, True])
 
     def test_tau_zero_all_positive_dynamic(self):
         p = classify(np.array([0.5, 0.1, 2.0]), 0.0)
-        assert p.static_indices.size == 0
+        assert p.dynamic.all()
 
     def test_partition_invariants(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0, 1e-4, 100)
         p = classify(scores, 2e-5)
-        union = np.sort(np.concatenate([p.dynamic_indices, p.static_indices]))
-        np.testing.assert_array_equal(union, np.arange(100))
-        assert np.all(scores[p.dynamic_indices] > 2e-5)
-        assert np.all(scores[p.static_indices] <= 2e-5)
+        assert p.dynamic.shape == (100,) and p.dynamic.dtype == bool
+        np.testing.assert_array_equal(p.dynamic_indices, np.flatnonzero(p.dynamic))
+        assert np.all(scores[p.dynamic] > 2e-5)
+        assert np.all(scores[~p.dynamic] <= 2e-5)
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(4)
@@ -104,20 +104,21 @@ class TestClassify:
 
 class TestSchedule:
     def test_before_warmup(self):
-        assert not evaluate_partition_schedule(0)
-        assert not evaluate_partition_schedule(2999)
+        assert not evaluate_partition_schedule(0, 3000, 2000)
+        assert not evaluate_partition_schedule(2999, 3000, 2000)
 
     def test_first_trigger(self):
-        assert evaluate_partition_schedule(3000)
+        assert evaluate_partition_schedule(3000, 3000, 2000)
 
     def test_period(self):
-        assert evaluate_partition_schedule(5000)
-        assert not evaluate_partition_schedule(5001)
-        assert evaluate_partition_schedule(7000)
+        assert evaluate_partition_schedule(5000, 3000, 2000)
+        assert not evaluate_partition_schedule(5001, 3000, 2000)
+        assert evaluate_partition_schedule(7000, 3000, 2000)
 
     def test_initial_partition_all_dynamic(self):
         p = all_dynamic_partition(7)
-        assert p.dynamic_indices.size == 7
+        assert p.dynamic.all() and p.dynamic.shape == (7,)
+        np.testing.assert_array_equal(p.dynamic_indices, np.arange(7))
 
 
 class TestDump:

@@ -17,7 +17,6 @@ from kgs.deform import (
     fine_offsets_backward,
     fine_offsets_batch,
     init_field_params,
-    positional_encoding,
     predict_offsets_backward,
     predict_offsets_batch,
 )
@@ -46,19 +45,21 @@ def random_inputs(rng, n):
 
 
 class TestPositionalEncoding:
+    """The time encoding is encode_coords of the one coordinate [t]."""
+
     def test_t_zero(self):
-        enc = positional_encoding(0.0, 6)
+        enc = encode_coords([0.0], 6)
         np.testing.assert_allclose(enc[0::2], 0.0, atol=0)
         np.testing.assert_allclose(enc[1::2], 1.0, atol=0)
 
     def test_t_one_single_band(self):
-        np.testing.assert_allclose(positional_encoding(1.0, 1), [np.sin(np.pi), -1.0],
+        np.testing.assert_allclose(encode_coords([1.0], 1), [np.sin(np.pi), -1.0],
                                    atol=1e-15)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for t in rng.uniform(0, 1, 1000):
-            enc = positional_encoding(t, 5)
+            enc = encode_coords([t], 5)
             assert np.all(np.abs(enc) <= 1.0)
 
     def test_coord_encoding_gradient(self):

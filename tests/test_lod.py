@@ -9,7 +9,6 @@ from kgs.lod import (
     densify_candidates,
     effective_scale,
     level_survivors,
-    min_scale,
     min_scale_per_gaussian,
     opacity_reset_logits,
     prune_mask_low_opacity,
@@ -19,6 +18,11 @@ from kgs.lod import (
 from kgs.scene import make_scene, random_scene
 
 CFG = LodConfig(l_max=5, lam=0.1, rho=0.5)
+
+
+def min_scale(level, cfg):
+    """The scale floor of one splat at a level."""
+    return float(min_scale_per_gaussian(np.array([level]), cfg)[0])
 
 
 class TestMinScale:

@@ -24,6 +24,7 @@ from kgs.gaussians import (
     sigmoid,
 )
 from kgs.kinematics import VELOCITY_FLOOR
+from kgs.losses import ani_loss, ani_loss_backward, reg_loss, reg_loss_backward
 from kgs.renderer import (
     CHUNK,
     RenderedFrame,
@@ -292,7 +293,7 @@ def fd_case(case):
         dx = np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1)
         dt = halfway(dx) / VELOCITY_FLOOR
     elif case == "behind_camera":
-        scene.positions[partition.static_indices[0], 2] = -4.0
+        scene.positions[np.flatnonzero(~partition.dynamic)[0], 2] = -4.0
     elif case == "clamp_saturation":
         # each clamp halfway between the two middle dynamic predictor outputs
         raw = train_frame(scene, fieldp, partition, table, cam)[1].pose["raw"]
@@ -339,7 +340,7 @@ class TestBackward:
         else:
             assert pose["ridx"].size == pose["dyn_idx"].size > 0
         if case == "clamp_saturation":
-            (*_, dx_over, _), (*_, dr_over, _), ds_free = pose["pred_cache"]["clamp"]
+            *_, ((*_, dx_over, _), (*_, dr_over, _), ds_free) = pose["pred_cache"]["head"]
             for hit in (dx_over, dr_over, ~ds_free):
                 assert 0 < hit[pose["dyn_idx"]].sum() < hit[pose["dyn_idx"]].size
         if case == "empty_tile":
@@ -353,7 +354,7 @@ class TestBackward:
         params = param_arrays(scene, fieldp)
         assert set(analytic) == set(params)
         if case == "behind_camera":
-            hidden = partition.static_indices[0]
+            hidden = np.flatnonzero(~partition.dynamic)[0]
             assert not tape.proj["valid"][hidden]
             assert np.all(analytic["positions"][hidden] == 0.0)
 
@@ -361,17 +362,53 @@ class TestBackward:
             img = train_frame(scene, fieldp, partition, table, cam, settings, dt)[0].image
             return float(np.sum(weights * img))
 
-        h = 1e-6
-        for name, p in params.items():
-            v = rng.normal(size=p.shape)
-            p += h * v
-            up = loss()
-            p -= 2.0 * h * v
-            down = loss()
-            p += h * v
-            fd = (up - down) / (2.0 * h)
-            an = float(np.sum(analytic[name] * v))
-            assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an)) + 1e-8, (name, fd, an)
+        check_central_differences(params, analytic, loss, rng)
+
+    @pytest.mark.parametrize("case", ["generic", "all_static", "below_velocity_floor"])
+    def test_regularizer_central_differences(self, case):
+        """The l_reg and l_ani gradients alone (d_image = 0), injected as
+        frame_loss_and_grads does: l_reg reaches dynamic rows through the
+        composed offsets and static rows through the raw ones, l_ani reaches
+        refined and unrefined rows through their rendered scales."""
+        scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
+        lam_reg, lam_ani = 0.7, 0.3
+
+        def regularized():
+            frame, tape = train_frame(scene, fieldp, partition, table, cam, settings, dt)
+            dyn = tape.pose["dyn"]
+            dx = np.where(dyn[:, None], tape.pose["offsets"][:, 0:3], tape.pose["raw"][:, 0:3])
+            return frame, tape, dx, dyn, tape.pose["scales_render"]
+
+        frame, tape, dx, dyn, scales = regularized()
+        grads = render_backward(tape, np.zeros_like(frame.image), fieldp,
+                                d_dx_extra=reg_loss_backward(dx, dyn, lam_reg),
+                                d_scales_extra=ani_loss_backward(scales, lam_ani))
+        analytic = dict(grads.scene_items() + grads.field_items())
+        params = param_arrays(scene, fieldp)
+        assert set(analytic) == set(params) and len(params) == 14
+        assert analytic["positions"].any() and analytic["log_scales"].any()
+
+        def loss():
+            _, _, dx, dyn, scales = regularized()
+            return lam_reg * reg_loss(dx, dyn) + lam_ani * ani_loss(scales)
+
+        check_central_differences(params, analytic, loss, np.random.default_rng(6))
+
+
+def check_central_differences(params, analytic, loss, rng):
+    """Each analytic gradient against the central difference of loss() along
+    one random direction of its parameter array."""
+    h = 1e-6
+    for name, p in params.items():
+        v = rng.normal(size=p.shape)
+        p += h * v
+        up = loss()
+        p -= 2.0 * h * v
+        down = loss()
+        p += h * v
+        fd = (up - down) / (2.0 * h)
+        an = float(np.sum(analytic[name] * v))
+        assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an)) + 1e-8, (name, fd, an)
 
 
 def render_and_backward(case):

@@ -19,6 +19,7 @@ from kgs.train import (
     load_checkpoint,
     make_adam,
     param_arrays,
+    recompute_partition,
     save_checkpoint,
     train_loop,
 )
@@ -101,6 +102,20 @@ class TestErrors:
             run(cfg, iterations=2, state=state)
 
 
+class TestOneSplat:
+    def test_recompute_partition(self):
+        """densify_and_prune keeps at least one splat, so a run can reach a
+        one-splat scene; its partition has one row, dynamic or static."""
+        cfg = config_from_dict(CONFIG)
+        state = initial_state(cfg, count=1)
+        clamps = cfg.render_settings().clamps
+        state.fieldp.w2 = np.random.default_rng(2).normal(0.0, 0.1, state.fieldp.w2.shape)
+        for tau, dynamic in ((0.0, True), (np.inf, False)):
+            recompute_partition(state, tau, cfg.decomp_samples, clamps)
+            assert state.partition.scores.shape == (1,) and state.partition.scores[0] > 0
+            np.testing.assert_array_equal(state.partition.dynamic, [dynamic])
+
+
 # Densify at 3, 6, 9 and 12, partition at 4, 8 and 12 (leaving static
 # splats), level advance at the start of 5 and 9.
 RESUME_CONFIG = {**CONFIG, "densify.start": 3, "densify.interval": 3, "densify.end": 12,
@@ -114,7 +129,7 @@ def state_arrays(state):
     out.update({f"field.{n}": a for n, a in state.fieldp.param_items()})
     out.update(state.adam.state_arrays())
     p = state.partition
-    out.update(dynamic=p.dynamic_indices, static=p.static_indices, scores=p.scores,
+    out.update(dynamic=p.dynamic, dynamic_indices=p.dynamic_indices, scores=p.scores,
                grad_accum=state.grad_accum, grad_count=state.grad_count,
                neighbor_table=state.neighbor_table)
     return out
@@ -144,7 +159,7 @@ class TestResume:
         resumed, meta = load_checkpoint(tmp_path / "head.kgs")
         assert meta["config"] == RESUME_CONFIG and resumed.iteration == k
         if k >= 4:
-            assert resumed.partition.static_indices.size > 0
+            assert not resumed.partition.dynamic.all()
         _, tail_losses, tail_counts = run(config_from_dict(meta["config"]), state=resumed)
         assert head_losses + tail_losses == losses
         assert tail_counts == counts[k:]
@@ -164,7 +179,7 @@ def row_arrays(state):
     out.update({f"m.{n}": state.adam.m[n] for n in ROW_PARAMS})
     out.update({f"v.{n}": state.adam.v[n] for n in ROW_PARAMS})
     out.update(grad_accum=state.grad_accum, grad_count=state.grad_count,
-               dynamic=state.partition.dynamic_mask(), scores=state.partition.scores)
+               dynamic=state.partition.dynamic, scores=state.partition.scores)
     return out
 
 
@@ -214,8 +229,8 @@ class TestRowEdit:
         state.edit_rows(keep=keep)
         for name, arr in row_arrays(state).items():
             np.testing.assert_array_equal(arr, rows[name][keep], err_msg=name)
-        np.testing.assert_array_equal(state.partition.static_indices,
-                                      np.where(~rows["dynamic"][keep])[0])
+        np.testing.assert_array_equal(state.partition.dynamic_indices,
+                                      np.where(rows["dynamic"][keep])[0])
 
     def test_densify_then_level_advance(self):
         """Every splat densifies: 0-9 clone, 10-29 split; 3 and 12 are
@@ -335,15 +350,45 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.grad_accum, state.grad_accum)
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
 
-    def test_header_length_is_little_endian_uint32(self, tmp_path):
-        path = tmp_path / "a.kgs"
-        write_checkpoint(path, {"x": np.arange(3.0)}, {"k": 1})
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "cut.kgs"
+        write_checkpoint(path, {"x": np.arange(1000.0)}, {"k": 1})
         raw = path.read_bytes()
-        hlen = int.from_bytes(raw[4:8], "little")
-        assert json.loads(raw[8:8 + hlen])["version"] == kgs.scene.VERSION
-        arrays, meta = read_checkpoint(path)
-        np.testing.assert_array_equal(arrays["x"], np.arange(3.0))
-        assert meta == {"k": 1}
+        path.write_bytes(raw[:len(raw) // 2])
+        with pytest.raises(InvalidInputError, match="unreadable checkpoint"):
+            read_checkpoint(path)
+
+    def test_flipped_data_byte_rejected(self, tmp_path):
+        """One bit of one array's data changes: the member's CRC-32 no longer
+        matches."""
+        path = tmp_path / "flip.kgs"
+        x = np.arange(1000.0)
+        write_checkpoint(path, {"x": x}, {"k": 1})
+        raw = bytearray(path.read_bytes())
+        start = raw.find(x.tobytes())
+        assert start > 0
+        raw[start + 8 * 500 + 3] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InvalidInputError, match="CRC"):
+            read_checkpoint(path)
+
+    def test_plain_npy_file_rejected(self, tmp_path):
+        path = tmp_path / "array.kgs"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+        with pytest.raises(InvalidInputError, match="unreadable checkpoint"):
+            read_checkpoint(path)
+
+    def test_version_one_file_rejected(self, tmp_path):
+        """The earlier format: magic KGS1, a little-endian uint32 header
+        length, a JSON header, then the raw arrays."""
+        header = json.dumps({"version": 1, "meta": {},
+                             "fields": [{"name": "x", "dtype": "<f8", "shape": [2]}]})
+        path = tmp_path / "old.kgs"
+        path.write_bytes(b"KGS1" + len(header).to_bytes(4, "little") + header.encode()
+                         + np.zeros(2).tobytes())
+        with pytest.raises(InvalidInputError, match="unreadable checkpoint"):
+            read_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "future.kgs"
