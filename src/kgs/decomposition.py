@@ -72,11 +72,3 @@ def compute_scores(field, positions, quats, log_scales, clamps: OffsetClamps,
                                            t, 0.0, None, clamps)
         samples[i] = offsets[:, 0:3]
     return deformation_variance(samples)
-
-
-def write_partition_dump(path, partition: Partition):
-    """One `index,score,label` line per splat, for offline inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (dynamic, score) in enumerate(zip(partition.dynamic, partition.scores)):
-            label = "dynamic" if dynamic else "static"
-            fh.write(f"{i},{score:.12g},{label}\n")

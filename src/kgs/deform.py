@@ -19,12 +19,9 @@ from .gaussians import InvalidInputError, NumericalError
 
 OFFSET_DIM = 9  # dx(3) + d_rot(3) + d_scale(3)
 
-# Neighbor search (build_neighbor_table): query rows per block, and how many
-# rows (by the mean density) a block's candidate box must leave out to be
-# searched instead of every row. The distance temporary is KNN_BLOCK x (rows
-# searched).
+# Neighbor search (build_neighbor_table): query rows per block. The distance
+# temporary is KNN_BLOCK x (rows in the block's candidate box).
 KNN_BLOCK = 32
-KNN_MIN_SKIP = 512
 
 # The FieldParams arrays the optimizer updates: predictor, fine head, features.
 FIELD_PARAMS = ("w1", "b1", "w2", "b2", "fine_w1", "fine_b1", "fine_w2", "fine_b2",
@@ -71,14 +68,6 @@ class NoiseSchedule:
     k_max: int
     w_delay: float = 1.0
     k_delay: int = 0
-
-    def __post_init__(self):
-        if self.sigma_init < self.sigma_final or self.sigma_final < 0:
-            raise InvalidInputError("need sigma_init >= sigma_final >= 0")
-        if not (0.0 < self.w_delay <= 1.0):
-            raise InvalidInputError("w_delay must be in (0, 1]")
-        if self.k_delay > self.k_max:
-            raise InvalidInputError("k_delay must be <= k_max")
 
     def sigma(self, k):
         frac = np.clip(k / max(self.k_max, 1), 0.0, 1.0)
@@ -284,8 +273,9 @@ def build_neighbor_table(positions, k):
     k' = min(k, N - 1), nearest first; equal squared distances go to the
     lower index. Squared distances are summed x, then y, then z, so they are
     the same floats an all-pairs search computes, and so is the table. With
-    k = 0 the table has no columns, and with a single row it degenerates to
-    the row itself; either way callers fall back to the splat's own offsets.
+    k = 0, or with a single row, each row is its own only neighbor: the table
+    is the one column arange(N), and the neighborhood mean of a row is the
+    row itself.
 
     Rows are ordered by a uniform grid cell and taken KNN_BLOCK at a time, so
     each query block is spatially compact. A block's candidates are the rows
@@ -295,19 +285,15 @@ def build_neighbor_table(positions, k):
     distance is below its squared margin to the box faces: every row outside
     the box is then farther than its k-th neighbor. Otherwise r grows to
     cover each query's k-th candidate distance (at least 1.5x) and the block
-    is searched again. A box that would leave out no more than KNN_MIN_SKIP
-    rows takes every row instead, which is exact without a margin test, so
-    small inputs are searched exhaustively, block by block.
+    is searched again.
     """
     positions = np.asarray(positions, dtype=float)
     bad = ~np.isfinite(positions).all(axis=1)
     if bad.any():
         raise InvalidInputError(f"non-finite position in row {int(np.argmax(bad))}")
     n = positions.shape[0]
-    if n == 0 or k == 0:
-        return np.zeros((n, 0), dtype=int)
-    if n == 1:
-        return np.zeros((1, 1), dtype=int)
+    if n <= 1 or k == 0:
+        return np.arange(n)[:, None]
     k_eff = min(k, n - 1)
     lo, hi = positions.min(axis=0), positions.max(axis=0)
     extent = hi - lo
@@ -316,11 +302,6 @@ def build_neighbor_table(positions, k):
     # edge of the cube (square, segment) that one row fills at the mean density
     spacing = float(np.exp((np.log(extent[live]).sum() - np.log(n)) / dims))
     r0 = 1.25 * spacing * k_eff ** (1.0 / dims)  # about twice the k-th neighbor radius
-
-    def takes_all(box_lo, box_hi):
-        """Whether boxes leave out at most KNN_MIN_SKIP rows at the mean density."""
-        inside = (np.minimum(box_hi, hi) - np.maximum(box_lo, lo))[..., live] / extent[live]
-        return n * (1.0 - inside.prod(axis=-1)) <= KNN_MIN_SKIP
 
     # grid cells of about KNN_BLOCK rows, at most n per axis
     cell = max(spacing * KNN_BLOCK ** (1.0 / dims), float(extent.max()) / n)
@@ -331,37 +312,30 @@ def build_neighbor_table(positions, k):
     starts = np.arange(0, n, KNN_BLOCK)
     block_lo = np.minimum.reduceat(pos, starts, axis=0)
     block_hi = np.maximum.reduceat(pos, starts, axis=0)
-    first_takes_all = takes_all(block_lo - r0, block_hi + r0)
     cols = np.ascontiguousarray(positions.T)
-    if not first_takes_all.all():
-        by_x = np.argsort(cols[0], kind="stable")
-        xs, ys, zs = cols[:, by_x]
+    by_x = np.argsort(cols[0], kind="stable")
+    xs, ys, zs = cols[:, by_x]
     table = np.empty((n, k_eff), dtype=int)
     for i, start in enumerate(starts):
         stop = min(start + KNN_BLOCK, n)
         q, rows = pos[start:stop], order[start:stop]
-        r, every = r0, first_takes_all[i]
+        r = r0
         while True:
-            if every:
-                cc, own = cols, rows
-            else:
-                b_lo, b_hi = block_lo[i] - r, block_hi[i] + r
-                a0 = np.searchsorted(xs, b_lo[0], "left")
-                a1 = np.searchsorted(xs, b_hi[0], "right")
-                sy, sz = ys[a0:a1], zs[a0:a1]
-                keep = np.flatnonzero((sy >= b_lo[1]) & (sy <= b_hi[1])
-                                      & (sz >= b_lo[2]) & (sz <= b_hi[2]))
-                cand = np.sort(by_x[a0 + keep])  # index order, like the columns of all rows
-                cc, own = cols[:, cand], np.searchsorted(cand, rows)
-            if every or cand.size > k_eff:
+            b_lo, b_hi = block_lo[i] - r, block_hi[i] + r
+            a0 = np.searchsorted(xs, b_lo[0], "left")
+            a1 = np.searchsorted(xs, b_hi[0], "right")
+            sy, sz = ys[a0:a1], zs[a0:a1]
+            keep = np.flatnonzero((sy >= b_lo[1]) & (sy <= b_hi[1])
+                                  & (sz >= b_lo[2]) & (sz <= b_hi[2]))
+            cand = np.sort(by_x[a0 + keep])  # index order, like the columns of all rows
+            if cand.size > k_eff:
+                cc = cols[:, cand]
                 d2 = np.square(q[:, 0, None] - cc[0])
                 for axis in (1, 2):
                     d2 += np.square(q[:, axis, None] - cc[axis])
                 # self is NaN: it partitions last and fails every <= test
-                d2[np.arange(stop - start), own] = np.nan
+                d2[np.arange(stop - start), np.searchsorted(cand, rows)] = np.nan
                 kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1]
-                if every:
-                    break
                 # a row outside the box is farther than a face: exact when
                 # every k-th candidate is nearer than its query's nearest face
                 face = np.minimum(np.square(q - b_lo), np.square(b_hi - q))[:, live]
@@ -372,32 +346,27 @@ def build_neighbor_table(positions, k):
                 r = max(1.5 * r, 1.01 * float(reach.max()))
             else:
                 r *= 1.5
-            every = takes_all(block_lo[i] - r, block_hi[i] + r)
         flat = np.flatnonzero(d2 <= kth[:, None])  # row-major: rows ascending
         rr, col = np.divmod(flat, d2.shape[1])
-        c = col if every else cand[col]
         # stable: equal distances keep the columns' index order
         pick = np.lexsort((d2.ravel()[flat], rr))
         first = np.searchsorted(rr, np.arange(stop - start))
-        table[start:stop] = c[pick][first[:, None] + np.arange(k_eff)]
+        table[start:stop] = cand[col][pick][first[:, None] + np.arange(k_eff)]
     out = np.empty_like(table)
     out[order] = table
     return out
 
 
 def coarse_offsets_batch(offsets, neighbor_table):
-    """Neighborhood means of (M,9) offsets under an (M,k) neighbor table; a
-    table with k = 0 keeps each row's own offsets."""
-    if neighbor_table.shape[1] == 0:
-        return offsets.copy()
+    """Neighborhood means of (M,9) offsets under an (M,k) neighbor table. The
+    one-column table of the rows themselves, build_neighbor_table's table for
+    k = 0, keeps each row's own offsets exactly."""
     return offsets[neighbor_table].mean(axis=1)
 
 
 def coarse_offsets_backward(neighbor_table, m, d_coarse):
     """Scatter d_coarse back onto the raw offsets of the dynamic set."""
     k = neighbor_table.shape[1]
-    if k == 0:
-        return d_coarse.copy()
     idx = neighbor_table.reshape(-1)
     share = np.repeat(d_coarse / k, k, axis=0)
     return np.stack([np.bincount(idx, weights=share[:, j], minlength=m)

@@ -55,9 +55,9 @@ def kinematic_frames_cached(velocity):
     return frames, {"n": n, "m": m, "u_x": u_x, "u_z": u_z, "r_ref": r_ref}
 
 
-def kinematic_frames_backward(cache, d_frames, d_speed=None):
-    """Chain gradients from a frame (and optionally from the speed) back to
-    the velocity. The reference-direction branch is locally constant."""
+def kinematic_frames_backward(cache, d_frames, d_speed):
+    """Chain gradients from a frame and from the speed |v| back to the
+    velocity. The reference-direction branch is locally constant."""
     u_x, u_z = cache["u_x"], cache["u_z"]
     r_ref = cache["r_ref"]
     n, m = cache["n"], cache["m"]
@@ -72,9 +72,7 @@ def kinematic_frames_backward(cache, d_frames, d_speed=None):
     d_uz += np.cross(r_ref, d_w)
     # u_z = v/|v|
     d_v = (d_uz - np.sum(d_uz * u_z, axis=-1, keepdims=True) * u_z) / n[..., None]
-    if d_speed is not None:
-        d_v = d_v + u_z * d_speed[..., None]
-    return d_v
+    return d_v + u_z * d_speed[..., None]
 
 
 def refine(U, cov_p, r_z, E, speed, d_scale, blur_dt, kappa, lambda_s):
@@ -109,17 +107,15 @@ def refine(U, cov_p, r_z, E, speed, d_scale, blur_dt, kappa, lambda_s):
     return cov, S_diag, cache
 
 
-def refine_backward(cache, d_cov, d_scales=None):
-    """Backward of refine from the gradients of its covariance and, when
-    given, of its scales. Returns (d_cov_p, d_U, d_r_z, d_E, d_speed,
-    d_d_scale); the gate has zero subgradient on its floor."""
+def refine_backward(cache, d_cov, d_scales):
+    """Backward of refine from the gradients of its covariance and of its
+    scales. Returns (d_cov_p, d_U, d_r_z, d_E, d_speed, d_d_scale); the gate
+    has zero subgradient on its floor."""
     U, E, S_diag = cache["U"], cache["E"], cache["S_diag"]
     blur_dt = cache["blur_dt"]
     d_Rkin, d_ell_from_cov = covariance_matrix_backward(cache["R_kin"], S_diag, d_cov)
     # d/d ell of exp(ell): one more factor of S_diag
-    d_ell = d_ell_from_cov * S_diag
-    if d_scales is not None:
-        d_ell += d_scales * S_diag
+    d_ell = d_ell_from_cov * S_diag + d_scales * S_diag
     d_d_scale = cache["lambda_s"] * d_ell
     d_sig = d_ell / cache["s_prime"]    # s' = sig, plus the blur on axis z
     d_blur = d_sig[:, 2]

@@ -27,14 +27,6 @@ class LodConfig:
     rho: float = 0.5              # geometric factor across levels: rho**(1-l)
     q_prune: float = 0.1          # importance quantile dropped per transition
 
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise InvalidInputError("rho must be in (0,1)")
-        if self.lam <= 0:
-            raise InvalidInputError("lam must be > 0")
-        if self.l_max < 1:
-            raise InvalidInputError("l_max must be >= 1")
-
 
 @dataclass(frozen=True)
 class DensifyConfig:

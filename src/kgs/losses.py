@@ -108,10 +108,7 @@ def image_loss(img, gt, lambda_dssim=0.2):
         raise InvalidInputError(f"shape mismatch {img.shape} vs {gt.shape}")
     diff = img - gt
     l1 = np.mean(np.abs(diff))
-    if lambda_dssim > 0.0:
-        s, s_cache = ssim(img, gt)
-    else:
-        s, s_cache = 1.0, None
+    s, s_cache = ssim(img, gt)
     value = (1.0 - lambda_dssim) * l1 + lambda_dssim * (1.0 - s)
     return float(value), (diff, s_cache, lambda_dssim)
 
@@ -119,10 +116,8 @@ def image_loss(img, gt, lambda_dssim=0.2):
 def image_loss_backward(cache, d_value=1.0):
     diff, s_cache, lambda_dssim = cache
     g = d_value * (1.0 - lambda_dssim) * np.sign(diff) / diff.size
-    if s_cache is not None:
-        # ssim treats a grey (H, W) image as (H, W, 1)
-        g = g + ssim_backward(s_cache, -d_value * lambda_dssim).reshape(diff.shape)
-    return g
+    # ssim treats a grey (H, W) image as (H, W, 1)
+    return g + ssim_backward(s_cache, -d_value * lambda_dssim).reshape(diff.shape)
 
 
 def psnr(img, gt):

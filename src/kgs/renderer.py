@@ -226,8 +226,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             "quats_raw": scene.quaternions.copy(), "cf_active": bool(s.coarse_fine and dyn_idx.size)}
 
 
-def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
-                   d_dx_extra=None, d_scales_extra=None):
+def _pose_backward(pose, fieldp, d_pos_t, d_cov3, d_dx_extra, d_scales_extra):
     n = pose["n"]
     dyn = pose["dyn"]
     dyn_idx = pose["dyn_idx"]
@@ -239,18 +238,14 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
     d_dx_render = np.where(dyn[:, None], d_pos_t, 0.0)
     d_ds_render = np.zeros((n, 3))
     d_cov_pred = np.where(refined[:, None, None], 0.0, d_cov3)
-    d_s_pred = np.zeros((n, 3))
+    d_s_pred = np.where(refined[:, None], 0.0, d_scales_extra)
     d_Rpred = np.zeros((n, 3, 3))
     d_E = np.zeros((n, 3, 3))
     d_v = np.zeros((n, 3))
 
-    if d_scales_extra is not None:
-        d_s_pred += np.where(refined[:, None], 0.0, d_scales_extra)
-
     if ridx.size:
-        extra = None if d_scales_extra is None else d_scales_extra[ridx]
         d_cov_p, d_U, d_r_z, d_E_r, d_speed, d_ds = refine_backward(
-            pose["refine"], d_cov3[ridx], extra)
+            pose["refine"], d_cov3[ridx], d_scales_extra[ridx])
         d_cov_pred[ridx] += d_cov_p
         d_Rpred[ridx, :, 2] += d_r_z
         d_E[ridx] += d_E_r
@@ -280,8 +275,7 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
 
     # assemble gradients wrt the applied (composed) offsets
     d_eff = np.concatenate([d_dx_render, d_dr_render, d_ds_render], axis=1)[dyn_idx]
-    if d_dx_extra is not None and dyn_idx.size:
-        d_eff[:, 0:3] += d_dx_extra[dyn_idx]
+    d_eff[:, 0:3] += d_dx_extra[dyn_idx]
 
     d_raw = np.zeros((n, 9))
     grads = {}
@@ -295,9 +289,7 @@ def _pose_backward(pose, s: RenderSettings, fieldp, d_pos_t, d_cov3,
                       for name in ("fine_w1", "fine_b1", "fine_w2", "fine_b2")})
         if dyn_idx.size:
             d_raw[dyn_idx] = d_eff
-    if d_dx_extra is not None:
-        static_rows = ~dyn
-        d_raw[static_rows, 0:3] += d_dx_extra[static_rows]
+    d_raw[~dyn, 0:3] += d_dx_extra[~dyn]
 
     (grads["w1"], grads["b1"], grads["w2"], grads["b2"], d_pos_enc, d_qn_pred,
      d_ls_pred) = predict_offsets_backward(fieldp, pose["pred_cache"], d_raw)
@@ -410,21 +402,21 @@ def _pixel_axes(rect):
     return np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5
 
 
-def _views(tile, rows, p, k):
-    """C-contiguous (p, k) views of the calling thread's scratch rows:
-    float64 rows 0-10 and bool rows 11-12 of tile * tile * (CHUNK + 1)
-    entries, made on first use (again for a larger tile). The rows are per
-    thread so that renders called from two threads never share them. The
-    chunk step uses rows 0-6, 11 and 12, the tile backward rows 7-10 and 11."""
-    size = tile * tile * (CHUNK + 1)
+def _views(rows, p, k):
+    """C-contiguous (p, k) views of the calling thread's scratch rows, for a
+    tile of p pixels and k <= CHUNK + 1: float64 rows 0-10 and bool rows
+    11-12 of p * (CHUNK + 1) entries, made on first use and again for a tile
+    of more pixels. The rows are per thread so that renders called from two
+    threads never share them. The chunk step uses rows 0-6, 11 and 12, the
+    tile backward rows 7-10 and 11."""
+    size = p * (CHUNK + 1)
     if getattr(_SCRATCH, "size", 0) < size:
         _SCRATCH.size = size
         _SCRATCH.rows = [*np.empty((11, size)), *np.empty((2, size), dtype=bool)]
     return [_SCRATCH.rows[i][:p * k].reshape(p, k) for i in rows]
 
 
-def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings,
-                want_t_out=True):
+def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, want_t_out=True):
     """Composite the row-major pixel grid of columns xs and rows ys,
     entering with transmittance t_in, against one depth-ordered slice idx of
     a tile's splats.
@@ -438,8 +430,8 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, s: RenderSettings,
     workspace, valid only until the next chunk step on that thread.
     """
     p, k = t_in.size, idx.size
-    q, G, alpha_raw, alpha, w, inside, proc = _views(s.tile, (0, 1, 2, 3, 4, 11, 12), p, k)
-    scan, T = _views(s.tile, (5, 6), p, k + 1)
+    q, G, alpha_raw, alpha, w, inside, proc = _views((0, 1, 2, 3, 4, 11, 12), p, k)
+    scan, T = _views((5, 6), p, k + 1)
     dx = xs[:, None] - mean2d[idx, 0]
     dy = ys[:, None] - mean2d[idx, 1]
     a, b, c = conic[idx].T
@@ -480,7 +472,7 @@ def _tile_forward(idx, rect, mean2d, conic, opac, colors, s: RenderSettings):
     starts = np.empty((len(chunks), trans.size))
     for j, (lo, sl) in enumerate(chunks):
         starts[j] = trans
-        *_, w, trans = _chunk_step(sl, xs, ys, trans, mean2d, conic, opac, s)
+        *_, w, trans = _chunk_step(sl, xs, ys, trans, mean2d, conic, opac)
         pix += w @ colors[sl]
         importance[lo:lo + sl.size] = w.sum(axis=0)
     pix += trans[:, None] * s.background
@@ -499,9 +491,9 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
     grads = np.empty((idx.size, 9))
     for j, (lo, sl) in reversed(list(enumerate(_chunks(idx)))):
         dx, dy, _, G, alpha_raw, one_minus_alpha, t_before, proc, w, _ = _chunk_step(
-            sl, xs, ys, starts[j], mean2d, conic, opac, s, want_t_out=False)
-        d_w, d_alpha, tmp, keep = _views(s.tile, (7, 8, 9, 11), p.shape[0], sl.size)
-        acc, = _views(s.tile, (10,), p.shape[0], sl.size + 1)
+            sl, xs, ys, starts[j], mean2d, conic, opac, want_t_out=False)
+        d_w, d_alpha, tmp, keep = _views((7, 8, 9, 11), p.shape[0], sl.size)
+        acc, = _views((10,), p.shape[0], sl.size + 1)
         np.matmul(p, colors[sl].T, out=d_w)
         # acc[:, i]: behind + the contributions d_w * w of the slice's last i
         # splats, so acc[:, -2::-1][:, k] sums everything behind splat k
@@ -620,12 +612,14 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     return frame, tape
 
 
-def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
-                    d_scales_extra=None) -> ParamGrads:
+def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra,
+                    d_scales_extra) -> ParamGrads:
     """Analytic gradients of a scalar loss through the rendered image.
 
-    d_image is dLoss/dImage; optional extras inject gradients wrt the applied
-    position offsets (regularizer) and the rendered scales (anisotropy term).
+    d_image is dLoss/dImage. The two (N, 3) extras are the loss's gradients
+    wrt the applied position offsets (the offset regularizer) and the
+    rendered scales (the anisotropy term); pass zeros for a loss without
+    them.
     """
     if tape.pose is None:
         raise InvalidInputError("backward stage: an eval-mode tape keeps no backward "
@@ -633,8 +627,7 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra=None,
     d_mean2d, d_conic, d_opac, d_colors = _raster_backward(tape, d_image)
     d_pos_t, d_cov3 = project_backward(tape.proj, tape.cam, d_mean2d, d_conic)
     pose = tape.pose
-    grads = _pose_backward(pose, tape.settings, fieldp, d_pos_t, d_cov3,
-                           d_dx_extra=d_dx_extra, d_scales_extra=d_scales_extra)
+    grads = _pose_backward(pose, fieldp, d_pos_t, d_cov3, d_dx_extra, d_scales_extra)
     grads["opacity_logits"] = d_opac * pose["opac"] * (1.0 - pose["opac"])
     grads["colors"] = d_colors * pose["color_mask"]
 

@@ -70,8 +70,8 @@ def make_scene(positions, quaternions, log_scales, opacity_logits, colors, level
                  importance=np.zeros(n))
 
 
-def random_scene(rng, count, bound, scale=0.05, opacity=0.1, level=1):
-    """Uniform random initialization inside a centered cube."""
+def random_scene(rng, count, bound, scale=0.05, opacity=0.1):
+    """Uniform random initialization inside a centered cube, at level 1."""
     from .gaussians import inverse_sigmoid
     positions = rng.uniform(-bound, bound, (count, 3))
     quats = np.zeros((count, 4))
@@ -79,8 +79,7 @@ def random_scene(rng, count, bound, scale=0.05, opacity=0.1, level=1):
     log_scales = np.full((count, 3), np.log(scale))
     logits = np.full(count, inverse_sigmoid(opacity))
     colors = np.full((count, 3), 0.5)
-    levels = np.full(count, level, dtype=np.int64)
-    return make_scene(positions, quats, log_scales, logits, colors, levels)
+    return make_scene(positions, quats, log_scales, logits, colors)
 
 
 # ---------------------------------------------------------------------------
@@ -106,4 +105,6 @@ def read_checkpoint(path):
     if header.get("version") != VERSION:
         raise InvalidInputError(
             f"unsupported checkpoint version {header.get('version')!r} in {path}")
+    if "meta" not in header:
+        raise InvalidInputError(f"checkpoint {path}: header has no entry 'meta'")
     return arrays, header["meta"]

@@ -20,7 +20,7 @@ from .decomposition import (
     evaluate_partition_schedule,
 )
 from .deform import FIELD_PARAMS, FieldParams, NoiseSchedule, build_neighbor_table
-from .gaussians import NumericalError
+from .gaussians import InvalidInputError, NumericalError
 from .lod import (
     DensifyConfig,
     LodConfig,
@@ -109,7 +109,6 @@ class TrainState:
     iteration: int = 0
     grad_accum: np.ndarray = None
     grad_count: np.ndarray = None
-    clamp_warnings: int = 0
 
     def __post_init__(self):
         if self.grad_accum is None:
@@ -172,8 +171,7 @@ def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
     ani_val = ani_loss(scales)
     d_scales_extra = ani_loss_backward(scales, weights.lambda_ani)
 
-    grads = render_backward(tape, d_image, state.fieldp,
-                            d_dx_extra=d_dx_extra, d_scales_extra=d_scales_extra)
+    grads = render_backward(tape, d_image, state.fieldp, d_dx_extra, d_scales_extra)
     total = img_val + weights.lambda_reg * reg_val + weights.lambda_ani * ani_val
     terms = {"loss": total, "l_img": img_val, "l_reg": reg_val, "l_ani": ani_val}
     return terms, grads, frame
@@ -249,10 +247,9 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
 
 
 def advance_scene_level(state: TrainState, lod_cfg: LodConfig):
+    """Prune, then move the survivors a level finer; returns the clamp count."""
     state.edit_rows(keep=level_survivors(state.scene, lod_cfg))
-    clamped = advance_level(state.scene, lod_cfg)
-    state.clamp_warnings += clamped
-    return clamped
+    return advance_level(state.scene, lod_cfg)
 
 
 def recompute_partition(state: TrainState, tau, n_samples, clamps):
@@ -283,29 +280,42 @@ def save_checkpoint(path, state: TrainState, config_dict: dict):
         "config": config_dict,
         "field_meta": {"time_bands": state.fieldp.time_bands,
                        "pos_bands": state.fieldp.pos_bands},
-        "clamp_warnings": state.clamp_warnings,
     }
     write_checkpoint(path, arrays, meta)
 
 
 def load_checkpoint(path):
+    """The TrainState and meta that save_checkpoint wrote. Raises, naming the
+    file and the entry, when an entry is missing, when a per-splat array's
+    row count differs from positions', or when the neighbor table's differs
+    from the number of dynamic splats."""
     arrays, meta = read_checkpoint(path)
-    scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
-    fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
-    partition = Partition(dynamic=arrays["partition_dynamic"],
-                          scores=arrays["partition_scores"])
-    adam = make_adam(scene, fieldp)
-    adam.load_state_arrays(arrays)
-    adam.t = meta["adam_t"]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
-    table = arrays.get("neighbor_table")
-    state = TrainState(scene=scene, fieldp=fieldp, partition=partition,
-                       neighbor_table=table, adam=adam, rng=rng,
-                       iteration=meta["iteration"],
-                       grad_accum=arrays["grad_accum"],
-                       grad_count=arrays["grad_count"],
-                       clamp_warnings=meta.get("clamp_warnings", 0))
+    try:
+        per_splat = [f.name for f in fields(Scene)] + [
+            "features", "grad_accum", "grad_count", "partition_dynamic", "partition_scores",
+            *(f"adam_{m}_{n}" for n in ROW_PARAMS for m in "mv")]
+        want = dict.fromkeys(per_splat, np.atleast_1d(arrays["positions"]).shape[:1])
+        if "neighbor_table" in arrays:
+            want["neighbor_table"] = (int(arrays["partition_dynamic"].sum()),)
+        for name, rows in want.items():
+            if arrays[name].shape[:1] != rows:
+                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
+                                        f"{arrays[name].shape}, not {rows[0]} rows")
+        scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
+        fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
+        adam = make_adam(scene, fieldp)
+        adam.load_state_arrays(arrays)
+        adam.t = meta["adam_t"]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
+        state = TrainState(scene=scene, fieldp=fieldp,
+                           partition=Partition(dynamic=arrays["partition_dynamic"],
+                                               scores=arrays["partition_scores"]),
+                           neighbor_table=arrays.get("neighbor_table"), adam=adam, rng=rng,
+                           iteration=meta["iteration"], grad_accum=arrays["grad_accum"],
+                           grad_count=arrays["grad_count"])
+    except KeyError as err:
+        raise InvalidInputError(f"checkpoint {path}: missing entry {err}") from None
     return state, meta
 
 

@@ -9,7 +9,6 @@ from kgs.decomposition import (
     classify,
     deformation_variance,
     evaluate_partition_schedule,
-    write_partition_dump,
 )
 from kgs.gaussians import InvalidInputError
 
@@ -120,13 +119,3 @@ class TestSchedule:
         assert p.dynamic.all() and p.dynamic.shape == (7,)
         np.testing.assert_array_equal(p.dynamic_indices, np.arange(7))
 
-
-class TestDump:
-    def test_dump_format(self, tmp_path):
-        p = classify(np.array([0.0, 1e-3, 1e-6]), 2e-5)
-        path = tmp_path / "partition.txt"
-        write_partition_dump(path, p)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "0,0,static"
-        assert lines[1].startswith("1,0.001,") and lines[1].endswith("dynamic")
-        assert len(lines) == 3

@@ -96,10 +96,6 @@ class TestNoiseSchedule:
         sched = NoiseSchedule(sigma_init=0.1, sigma_final=0.0, k_max=10)
         assert sched.sigma(0) == pytest.approx(0.1)
 
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            NoiseSchedule(sigma_init=0.0, sigma_final=0.1, k_max=10)
-
 
 class TestPredictor:
     def test_zero_init_gives_zero_offsets(self):
@@ -263,9 +259,12 @@ class TestCoarseAggregation:
         np.testing.assert_allclose(out[0, 0:3], [1 / 3] * 3, atol=1e-15)
 
     def test_empty_neighborhood_falls_back_to_own(self):
-        offsets = np.arange(18.0).reshape(2, 9)
-        table = np.zeros((2, 0), dtype=int)
+        """The k = 0 table, each row its own only neighbor, keeps every row's
+        offsets and its gradient exactly."""
+        offsets = np.arange(18.0).reshape(2, 9) / 7.0
+        table = np.arange(2)[:, None]
         np.testing.assert_array_equal(coarse_offsets_batch(offsets, table), offsets)
+        np.testing.assert_array_equal(coarse_offsets_backward(table, 2, offsets), offsets)
 
     def test_backward_scatter(self):
         rng = np.random.default_rng(10)
@@ -298,10 +297,8 @@ def brute_force_table(positions, k):
     distances to the lower index."""
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
-    if n == 0 or k == 0:
-        return np.zeros((n, 0), dtype=int)
-    if n == 1:
-        return np.zeros((1, 1), dtype=int)
+    if n <= 1 or k == 0:
+        return np.arange(n)[:, None]
     k_eff = min(k, n - 1)
     table = np.empty((n, k_eff), dtype=int)
     for start in range(0, n, 32):
@@ -318,15 +315,12 @@ def brute_force_table(positions, k):
     return table
 
 
-def assert_matches_oracle(positions, k, block=None, min_skip=None):
-    """build_neighbor_table equals the oracle; block and min_skip, when
-    given, replace KNN_BLOCK and KNN_MIN_SKIP for the call (min_skip = 0
-    sends every block through its candidate box, however small the input)."""
+def assert_matches_oracle(positions, k, block=None):
+    """build_neighbor_table equals the oracle; block, when given, replaces
+    KNN_BLOCK for the call."""
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(deform, "KNN_BLOCK", block)
-        if min_skip is not None:
-            mp.setattr(deform, "KNN_MIN_SKIP", min_skip)
         table = build_neighbor_table(positions, k)
     expected = brute_force_table(positions, k)
     assert table.dtype == expected.dtype
@@ -359,20 +353,16 @@ class TestKnnOracle:
         else:
             pos = rng.uniform(-1.0, 1.0, (n, 3))
             pos[:, rng.integers(0, 3)] = 0.5
-        block = data.draw(st.sampled_from([3, 8, 32]))
-        assert_matches_oracle(pos, k, block=block,
-                              min_skip=data.draw(st.sampled_from([0, 512])))
+        assert_matches_oracle(pos, k, block=data.draw(st.sampled_from([3, 8, 32])))
 
-    @pytest.mark.parametrize("min_skip", [0, None])
-    def test_clustered(self, min_skip):
+    def test_clustered(self):
         """The mean density misjudges both the blob and the backdrop, so
         backdrop blocks need a second, larger box."""
         pos = clustered(np.random.default_rng(4), 2400, 600)
-        assert_matches_oracle(pos, 8, min_skip=min_skip)
+        assert_matches_oracle(pos, 8)
 
-    @pytest.mark.parametrize("min_skip", [0, None])
     @pytest.mark.parametrize("shape", ["coincident", "collinear", "planar", "two_sites"])
-    def test_degenerate_extent(self, shape, min_skip):
+    def test_degenerate_extent(self, shape):
         """Axes on which every row agrees: no division by a zero extent
         (warnings are errors here) and no search along them."""
         rng = np.random.default_rng(6)
@@ -385,18 +375,17 @@ class TestKnnOracle:
             pos = np.column_stack([rng.uniform(-1, 1, n), np.full(n, 0.7), rng.uniform(-1, 1, n)])
         else:
             pos = np.repeat([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], n // 2, axis=0)
-        assert_matches_oracle(pos, 8, min_skip=min_skip)
+        assert_matches_oracle(pos, 8)
 
-    @pytest.mark.parametrize("min_skip", [0, None])
-    def test_large_offset_fine_spacing(self, min_skip):
+    def test_large_offset_fine_spacing(self):
         rng = np.random.default_rng(8)
         pos = 1e6 + 1e-3 * rng.integers(0, 12, (800, 3)) + 1e-4 * rng.uniform(size=(800, 3))
-        assert_matches_oracle(pos, 8, min_skip=min_skip)
+        assert_matches_oracle(pos, 8)
 
     @pytest.mark.parametrize("k_offset", [-1, 0, 5])
     def test_k_at_least_n_minus_one(self, k_offset):
         pos = np.random.default_rng(9).uniform(-1, 1, (90, 3))
-        assert_matches_oracle(pos, 89 + k_offset, block=8, min_skip=0)
+        assert_matches_oracle(pos, 89 + k_offset, block=8)
 
 
 class TestKnn:
@@ -410,10 +399,12 @@ class TestKnn:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_zero_neighbors(self, n):
-        """k = 0 gives a table without columns: every splat keeps its own offsets."""
+        """k = 0 gives each row itself as its only neighbor: every splat
+        keeps its own offsets."""
         rng = np.random.default_rng(n)
         table = build_neighbor_table(rng.normal(size=(n, 3)), 0)
-        assert table.shape == (n, 0) and table.dtype == int
+        assert table.dtype == int
+        np.testing.assert_array_equal(table, np.arange(n)[:, None])
         offsets = rng.normal(size=(n, 9))
         np.testing.assert_array_equal(coarse_offsets_batch(offsets, table), offsets)
 
@@ -436,8 +427,8 @@ class TestKnn:
         pos = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)), dtype=float)
         table = build_neighbor_table(pos, k)
         assert table.dtype == int
-        if n == 1 and k >= 1:
-            np.testing.assert_array_equal(table, [[0]])
+        if n == 1 or k == 0:
+            np.testing.assert_array_equal(table, np.arange(n)[:, None])
             return
         assert table.shape == (n, min(k, n - 1))
         for i in range(n):

@@ -308,14 +308,14 @@ class TestRefineBackward:
         gate_open = cache["gate_open"]
         assert gate_open.sum() >= 5 and (~gate_open).sum() >= 5
         W = rng.normal(size=cov.shape)
-        Ws = rng.normal(size=scales.shape) if with_scales else None
+        Ws = rng.normal(size=scales.shape) if with_scales else np.zeros_like(scales)
         grads = dict(zip(["cov_p", "U", "r_z", "E", "speed", "d_scale"],
                          refine_backward(cache, W, Ws)))
         np.testing.assert_array_equal(grads["r_z"][~gate_open], 0.0)
 
         def loss():
             c, s, _ = run()
-            return float(np.sum(W * c) + (np.sum(Ws * s) if with_scales else 0.0))
+            return float(np.sum(W * c) + np.sum(Ws * s))
 
         for name, g in grads.items():
             for rows in (gate_open, ~gate_open):

@@ -349,7 +349,7 @@ class TestBackward:
             assert pose["dyn_idx"].size == 1 and pose["table"].shape == (1, 1)
         rng = np.random.default_rng(5)
         weights = rng.normal(size=frame.image.shape)
-        grads = render_backward(tape, weights, fieldp)
+        grads = render_backward(tape, weights, fieldp, *no_extras(tape))
         analytic = dict(grads.scene_items() + grads.field_items())
         params = param_arrays(scene, fieldp)
         assert set(analytic) == set(params)
@@ -381,8 +381,8 @@ class TestBackward:
 
         frame, tape, dx, dyn, scales = regularized()
         grads = render_backward(tape, np.zeros_like(frame.image), fieldp,
-                                d_dx_extra=reg_loss_backward(dx, dyn, lam_reg),
-                                d_scales_extra=ani_loss_backward(scales, lam_ani))
+                                reg_loss_backward(dx, dyn, lam_reg),
+                                ani_loss_backward(scales, lam_ani))
         analytic = dict(grads.scene_items() + grads.field_items())
         params = param_arrays(scene, fieldp)
         assert set(analytic) == set(params) and len(params) == 14
@@ -393,6 +393,12 @@ class TestBackward:
             return lam_reg * reg_loss(dx, dyn) + lam_ani * ani_loss(scales)
 
         check_central_differences(params, analytic, loss, np.random.default_rng(6))
+
+
+def no_extras(tape):
+    """Zero gradients wrt the applied position offsets and the rendered
+    scales: render_backward's extras for a loss of the image alone."""
+    return np.zeros((tape.n, 3)), np.zeros((tape.n, 3))
 
 
 def check_central_differences(params, analytic, loss, rng):
@@ -418,7 +424,7 @@ def render_and_backward(case):
     s = RenderSettings(background=SETTINGS.background, tile=tile)
     frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
     d_img = np.random.default_rng(tile).normal(size=frame.image.shape)
-    grads = render_backward(tape, d_img, fieldp)
+    grads = render_backward(tape, d_img, fieldp, *no_extras(tape))
     out = [frame.image, frame.transmittance, frame.importance,
            tape.transmittance, *tape.chunk_starts, *grads.grads.values(),
            grads.densify_norm, grads.densify_count]
@@ -477,6 +483,25 @@ class TestWorkspace:
             for out in runs:
                 for a, b in zip(out, expected, strict=True):
                     np.testing.assert_array_equal(a, b)
+
+    def test_sized_by_the_tile_drawn(self):
+        """A fresh thread's workspace holds the pixels of the tiles it draws,
+        not tile x tile of them: one 20x12 frame at tile 1024 makes rows of
+        20 * 12 * (CHUNK + 1) entries."""
+        scene, fieldp, partition, table, cam = deep_scene(6, opacity=0.3)
+        s = RenderSettings(background=SETTINGS.background, tile=1024)
+        sizes = []
+
+        def work():
+            frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
+            render_backward(tape, np.ones_like(frame.image), fieldp, *no_extras(tape))
+            sizes.append(renderer._SCRATCH.size)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=120)
+        assert (cam.width, cam.height) == (20, 12)
+        assert sizes == [20 * 12 * (CHUNK + 1)]
 
 
 class TestPoseStage:
@@ -548,7 +573,8 @@ class TestDegenerateScenes:
         frame, tape = render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train",
                              rng=rng, noise_sigma=0.05, dt=0.125, neighbor_table=table)
         assert np.isfinite(frame.image).all() and np.isfinite(frame.transmittance).all()
-        grads = render_backward(tape, rng.normal(size=frame.image.shape), fieldp)
+        grads = render_backward(tape, rng.normal(size=frame.image.shape), fieldp,
+                                *no_extras(tape))
         for name, g in grads.grads.items():
             assert np.isfinite(g).all(), name
 
@@ -776,7 +802,7 @@ class TestTape:
         frame, tape = render(scene, partition, fieldp, cam, 0.5, SETTINGS, mode="eval",
                              neighbor_table=table, want_tape=True)
         with pytest.raises(InvalidInputError, match="backward stage: an eval-mode tape"):
-            render_backward(tape, np.ones_like(frame.image), fieldp)
+            render_backward(tape, np.ones_like(frame.image), fieldp, *no_extras(tape))
 
     def test_replay_is_bit_identical(self):
         """Compositing again from the tape reproduces the forward image."""

@@ -81,10 +81,12 @@ class TestStopEarly:
 
 class TestNoNeighbors:
     def test_trains_with_k_zero(self):
-        """cf.k = 0: coarse aggregation keeps each splat's own offsets."""
+        """cf.k = 0: each dynamic splat is its own only neighbor, so coarse
+        aggregation keeps its own offsets."""
         cfg = config_from_dict({**CONFIG, "cf.k": 0})
         state, losses, _ = run(cfg, iterations=3)
-        assert state.neighbor_table.shape == (state.partition.dynamic_indices.size, 0)
+        np.testing.assert_array_equal(state.neighbor_table,
+                                      np.arange(state.partition.dynamic_indices.size)[:, None])
         assert np.all(np.isfinite(losses)) and len(losses) == 3
 
 
@@ -153,23 +155,39 @@ class TestResume:
         """Stop at k, just before a densify (2), the first partition (3), a
         level advance (4), or a level advance and a densify with static
         splats (8); save, load and continue."""
-        full, losses, counts = uninterrupted
         head, head_losses, _ = run(config_from_dict(RESUME_CONFIG), iterations=k)
         save_checkpoint(tmp_path / "head.kgs", head, RESUME_CONFIG)
-        resumed, meta = load_checkpoint(tmp_path / "head.kgs")
-        assert meta["config"] == RESUME_CONFIG and resumed.iteration == k
-        if k >= 4:
-            assert not resumed.partition.dynamic.all()
-        _, tail_losses, tail_counts = run(config_from_dict(meta["config"]), state=resumed)
-        assert head_losses + tail_losses == losses
-        assert tail_counts == counts[k:]
-        assert resumed.adam.t == full.adam.t and resumed.iteration == full.iteration
-        assert resumed.rng.bit_generator.state == full.rng.bit_generator.state
-        got, want = state_arrays(resumed), state_arrays(full)
-        assert list(got) == list(want)
-        for name, arr in want.items():
-            assert got[name].dtype == arr.dtype, name
-            np.testing.assert_array_equal(got[name], arr, err_msg=name)
+        assert_resumes(tmp_path / "head.kgs", uninterrupted, head_losses, k)
+
+    def test_file_holding_clamp_warnings(self, tmp_path, uninterrupted):
+        """Version-2 files written while the training state counted clamped
+        scales hold that count in their meta; they load and resume alike."""
+        head, head_losses, _ = run(config_from_dict(RESUME_CONFIG), iterations=8)
+        path = tmp_path / "head.kgs"
+        save_checkpoint(path, head, RESUME_CONFIG)
+        arrays, meta = read_checkpoint(path)
+        write_checkpoint(path, arrays, {**meta, "clamp_warnings": 2})
+        assert_resumes(path, uninterrupted, head_losses, 8)
+
+
+def assert_resumes(path, uninterrupted, head_losses, k):
+    """The checkpoint at path, saved after k iterations of RESUME_CONFIG,
+    loads and continues as the uninterrupted run."""
+    full, losses, counts = uninterrupted
+    resumed, meta = load_checkpoint(path)
+    assert meta["config"] == RESUME_CONFIG and resumed.iteration == k
+    if k >= 4:
+        assert not resumed.partition.dynamic.all()
+    _, tail_losses, tail_counts = run(config_from_dict(meta["config"]), state=resumed)
+    assert head_losses + tail_losses == losses
+    assert tail_counts == counts[k:]
+    assert resumed.adam.t == full.adam.t and resumed.iteration == full.iteration
+    assert resumed.rng.bit_generator.state == full.rng.bit_generator.state
+    got, want = state_arrays(resumed), state_arrays(full)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype, name
+        np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
 
 def row_arrays(state):
@@ -390,6 +408,40 @@ class TestCheckpoint:
         with pytest.raises(InvalidInputError, match="unreadable checkpoint"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("entry", ["positions", "adam_v_features", "rng_state"])
+    def test_missing_entry_named(self, tmp_path, entry):
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        del (meta if entry == "rng_state" else arrays)[entry]
+        write_checkpoint(path, arrays, meta)
+        assert_rejected(path, f"missing entry {entry!r}")
+
+    @pytest.mark.parametrize("entry", ["quaternions", "features", "adam_m_colors",
+                                       "grad_count", "partition_scores"])
+    def test_per_splat_row_count_checked(self, tmp_path, entry):
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        n = arrays["positions"].shape[0]
+        arrays[entry] = arrays[entry][:5]
+        write_checkpoint(path, arrays, meta)
+        assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, not {n} rows")
+
+    def test_neighbor_table_row_count_checked(self, tmp_path):
+        """One row per dynamic splat."""
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        table = arrays["neighbor_table"]
+        arrays["neighbor_table"] = table[:-1]
+        write_checkpoint(path, arrays, meta)
+        assert_rejected(path, f"entry 'neighbor_table' has shape {table[:-1].shape}, "
+                              f"not {table.shape[0]} rows")
+
+    def test_header_without_meta_rejected(self, tmp_path):
+        path = tmp_path / "bare.kgs"
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps({"version": kgs.scene.VERSION})),
+                     x=np.zeros(2))
+        with pytest.raises(InvalidInputError) as err:
+            read_checkpoint(path)
+        assert str(err.value) == f"checkpoint {path}: header has no entry 'meta'"
+
     def test_unknown_version_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "future.kgs"
         monkeypatch.setattr(kgs.scene, "VERSION", kgs.scene.VERSION + 1)
@@ -397,3 +449,17 @@ class TestCheckpoint:
         monkeypatch.undo()
         with pytest.raises(InvalidInputError, match="version"):
             read_checkpoint(path)
+
+
+def saved_checkpoint(tmp_path):
+    """The path, arrays and meta of a checkpoint after 5 iterations."""
+    state, _, _ = run(config_from_dict(CONFIG), iterations=5)
+    path = tmp_path / "state.kgs"
+    save_checkpoint(path, state, CONFIG)
+    return (path, *read_checkpoint(path))
+
+
+def assert_rejected(path, detail):
+    with pytest.raises(InvalidInputError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"checkpoint {path}: {detail}"
