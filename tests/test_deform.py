@@ -327,6 +327,14 @@ def assert_matches_oracle(positions, k, block=None):
     np.testing.assert_array_equal(table, expected)
 
 
+def reordered(positions, seed):
+    """The rows as given (seed None) or permuted by default_rng(seed), so the
+    same point set is searched, and its ties broken, under another row order."""
+    if seed is None:
+        return positions
+    return positions[np.random.default_rng(seed).permutation(len(positions))]
+
+
 def clustered(rng, n_blob, n_backdrop):
     """A dense blob inside a uniform backdrop, rows shuffled together."""
     pos = np.concatenate([rng.normal(0.3, 0.02, (n_blob, 3)),
@@ -355,14 +363,16 @@ class TestKnnOracle:
             pos[:, rng.integers(0, 3)] = 0.5
         assert_matches_oracle(pos, k, block=data.draw(st.sampled_from([3, 8, 32])))
 
-    def test_clustered(self):
+    @pytest.mark.parametrize("order_seed", [0, None])
+    def test_clustered(self, order_seed):
         """The mean density misjudges both the blob and the backdrop, so
         backdrop blocks need a second, larger box."""
         pos = clustered(np.random.default_rng(4), 2400, 600)
-        assert_matches_oracle(pos, 8)
+        assert_matches_oracle(reordered(pos, order_seed), 8)
 
+    @pytest.mark.parametrize("order_seed", [0, None])
     @pytest.mark.parametrize("shape", ["coincident", "collinear", "planar", "two_sites"])
-    def test_degenerate_extent(self, shape):
+    def test_degenerate_extent(self, shape, order_seed):
         """Axes on which every row agrees: no division by a zero extent
         (warnings are errors here) and no search along them."""
         rng = np.random.default_rng(6)
@@ -375,12 +385,13 @@ class TestKnnOracle:
             pos = np.column_stack([rng.uniform(-1, 1, n), np.full(n, 0.7), rng.uniform(-1, 1, n)])
         else:
             pos = np.repeat([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], n // 2, axis=0)
-        assert_matches_oracle(pos, 8)
+        assert_matches_oracle(reordered(pos, order_seed), 8)
 
-    def test_large_offset_fine_spacing(self):
+    @pytest.mark.parametrize("order_seed", [0, None])
+    def test_large_offset_fine_spacing(self, order_seed):
         rng = np.random.default_rng(8)
         pos = 1e6 + 1e-3 * rng.integers(0, 12, (800, 3)) + 1e-4 * rng.uniform(size=(800, 3))
-        assert_matches_oracle(pos, 8)
+        assert_matches_oracle(reordered(pos, order_seed), 8)
 
     @pytest.mark.parametrize("k_offset", [-1, 0, 5])
     def test_k_at_least_n_minus_one(self, k_offset):
