@@ -90,7 +90,7 @@ class RunConfig:
     lr_features: float = 2.5e-3
 
     background: tuple = (0.0, 0.0, 0.0)
-    render_tile: int = 16
+    render_tile: int = RenderSettings.tile
 
     init_count: int = 400
     init_bound: float = 1.2

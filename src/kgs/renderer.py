@@ -2,33 +2,48 @@
 
 Forward: deform the dynamic set, gate on the partition, refine covariances
 against predicted velocities, project with the local affine pinhole
-Jacobian, bin each splat into exactly the pixel tiles whose rectangle of
-pixel centres its footprint {q <= FOOTPRINT_CHI2} reaches (a splat is
-"touched" when it is kept for some tile), and composite front-to-back per
-pixel. The backward pass is fully analytic and mirrors every stage.
+Jacobian, bin each splat into exactly the pixel tiles (8 x 8 px by
+default) whose rectangle of pixel centres its footprint {q <= FOOTPRINT_CHI2}
+reaches (a splat is "touched" when it is kept for some tile), and composite
+front-to-back per pixel. The backward pass is fully analytic and mirrors
+every stage. Binning takes the depth-ordered splats BIN_BLOCK at a time, so
+its candidate (tile, splat) arrays stay a block's size.
 
-A tile is composited in depth-ordered slices of CHUNK splats by one chunk
-step, which the forward and the backward pass share. The forward carries
-transmittance from slice to slice and records each slice's entering
-transmittance on the tape. The backward walks the slices back to front:
-it re-evaluates one slice from its record, which reproduces the forward's
-transmittance and blend weights bit-exactly, and carries the summed
-contributions of the splats behind it.
+An eval-mode render keeps no backward state: the pose stage builds none of
+the head, clamp, refinement or frame caches and runs the offset predictor
+on the dynamic rows alone, whose offsets are the only ones it applies.
+
+A tile is composited in depth-ordered slices of CHUNK (256) splats by one
+chunk step, which the forward and the backward pass share. The forward
+carries transmittance from slice to slice and records each slice's
+entering transmittance on the tape. The backward walks the slices back to
+front: it re-evaluates one slice from its record, which reproduces the
+forward's transmittance and blend weights bit-exactly, and carries the
+summed contributions of the splats behind it.
 
 A tile's pixels are a grid of columns and rows, so the chunk step takes
 each splat's offsets per column (dx) and per row (dy) and builds the
-footprint quadratic q from per-column and per-row terms. It adds the same
-products in the same order as at one pixel, so q is bit-identical, and only
-three of its operations are pixels x splats. The backward sums d q over rows
-and over columns and weights the sums by dx and dy: only the cross moment
-needs a full-size product.
+footprint exponent h = -0.5 q from per-column and per-row terms, with the
+conic coefficients scaled by -0.5 first. It adds the same products in the
+same order as at one pixel, and scaling by a power of two commutes with
+rounding, so h is exactly -0.5 times the per-pixel q; only three of its
+operations are pixels x splats. The backward sums d q over rows and over
+columns and weights the sums by dx and dy: only the cross moment needs a
+full-size product.
+
+Two slice shortcuts skip full-size passes without changing a bit. The
+ALPHA_MAX cap, and its mask in the backward, run only on a slice where some
+opacity times G exceeds it. Transmittance never rises along a slice, so
+where every pixel still has its last t_before at or above
+TRANSMITTANCE_CUTOFF the whole slice is processed: the processed mask and
+its t_out gather are skipped.
 
 Every pixels x splats array is a C-contiguous view of a per-thread
 workspace (see _views), so no slice allocates one. The chunk step computes
-in place: G is exp(-0.5 q) times the footprint mask, and one scan buffer
-holds [t_in, 1 - alpha] for the running product. The backward's re-run
-skips the forward's t_out gather, divides by the kept 1 - alpha, and uses
-one buffer for d_alpha G and then for d_q.
+in place: G is exp(h) times the footprint mask, and one scan buffer holds
+[t_in, 1 - alpha] for the running product. The backward's re-run skips the
+forward's t_out gather, divides by the kept 1 - alpha, and uses one buffer
+for d_alpha G and then for d_q.
 
 Tiles run one after another, in tile order, on the calling thread.
 """
@@ -82,8 +97,13 @@ from .lod import LodConfig, min_scale_per_gaussian
 from .scene import SCENE_PARAMS
 
 # Splats per depth-ordered slice of a tile: the compositor's temporaries are
-# pixels x CHUNK, whatever a tile's depth.
-CHUNK = 64
+# pixels x CHUNK, whatever a tile's depth. With RenderSettings.tile this was
+# chosen by timing tile {8, 16} x CHUNK {64, 128, 256} on eval and train
+# frames.
+CHUNK = 256
+# Depth-ordered splats per block of tile binning: the candidate (tile, splat)
+# arrays are BIN_BLOCK splats' worth, whatever the frame's splat count.
+BIN_BLOCK = 512
 
 _SCRATCH = threading.local()    # per-thread compositor workspace, see _views
 
@@ -91,7 +111,7 @@ _SCRATCH = threading.local()    # per-thread compositor workspace, see _views
 @dataclass(frozen=True)
 class RenderSettings:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    tile: int = 16
+    tile: int = 8
     kappa: float = DEFAULT_KAPPA
     lambda_s: float = DEFAULT_LAMBDA_S
     refine_enabled: bool = True
@@ -111,7 +131,7 @@ class RenderedFrame:
 class RenderTape:
     """What render_backward reads. An eval-mode tape keeps only tiles,
     touched, cam, settings, n and transmittance; pose, proj and
-    chunk_starts are None."""
+    chunk_starts are None, and its render built no backward state."""
     pose: dict | None
     proj: dict | None
     tiles: list                # per tile, splat indices in depth order
@@ -161,26 +181,36 @@ def _check_pose(n, *per_splat):
 
 
 def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
-                  blur_dt, noise_sigma, rng, s: RenderSettings):
+                  blur_dt, noise_sigma, rng, s: RenderSettings, keep=True):
+    """Deformed positions and rendered covariances, with opacities and
+    colours. With keep, everything _pose_backward reads; without, only
+    pos_t, cov_render, opac and colors_c, and the predictor runs on the
+    dynamic rows alone: a static row's raw offsets feed only the offset
+    regulariser of a train frame."""
     n = scene.n
     _check_pose(n, scene.positions, scene.quaternions, scene.log_scales)
     dyn = partition.dynamic
     dyn_idx = partition.dynamic_indices
     q_n = quat_normalize(scene.quaternions)
 
+    rows = slice(None) if keep else dyn_idx
     raw, pred_cache = predict_offsets_batch(
-        fieldp, scene.positions, q_n, scene.log_scales, t, noise_sigma, rng, s.clamps)
+        fieldp, scene.positions[rows], q_n[rows], scene.log_scales[rows], t, noise_sigma,
+        rng, s.clamps)
+    raw_dyn = raw[dyn_idx] if keep else raw
 
     fine_cache = None
     if s.coarse_fine and dyn_idx.size:
         if neighbor_table is None:
             raise InvalidInputError("pose stage: coarse/fine deformation of the "
                                     "dynamic splats needs a neighbor_table")
-        coarse = coarse_offsets_batch(raw[dyn_idx], neighbor_table)
+        coarse = coarse_offsets_batch(raw_dyn, neighbor_table)
         fine, fine_cache = fine_offsets_batch(fieldp, fieldp.features[dyn_idx], t, s.clamps)
         eff_dyn = coarse + fine
     else:
-        eff_dyn = raw[dyn_idx]
+        eff_dyn = raw_dyn
+    if not keep:
+        raw = pred_cache = fine_cache = None    # freed before the rest of the stage
 
     offsets = np.zeros((n, 9))
     offsets[dyn_idx] = eff_dyn
@@ -200,8 +230,9 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     refined = s.refine_enabled & dyn & (speed >= VELOCITY_FLOOR)
     ridx = np.where(refined)[0]
 
-    cov_render = cov_pred.copy()
-    scales_render = s_pred.copy()
+    # the backward reads the covariances and scales from before refinement
+    cov_render = cov_pred.copy() if keep else cov_pred
+    scales_render = s_pred.copy() if keep else s_pred
     basis_cache = refine_cache = None
     if ridx.size:
         U, basis_cache = kinematic_frames_cached(v[ridx])
@@ -212,8 +243,10 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     _check_pose(n, pos_t, cov_render)
 
     colors_c = np.clip(scene.colors, 0.0, 1.0)
-    color_mask = (scene.colors > 0.0) & (scene.colors < 1.0)
     opac = sigmoid(scene.opacity_logits)
+    if not keep:
+        return {"pos_t": pos_t, "cov_render": cov_render, "opac": opac, "colors_c": colors_c}
+    color_mask = (scene.colors > 0.0) & (scene.colors < 1.0)
 
     return {"n": n, "dyn": dyn, "dyn_idx": dyn_idx, "q_n": q_n, "raw": raw,
             "pred_cache": pred_cache, "fine_cache": fine_cache, "table": neighbor_table,
@@ -371,17 +404,23 @@ def _bin_tiles(proj, width, height, tile):
     lo = lo[hit].astype(np.int64)
     span = hi[hit].astype(np.int64) - lo + 1
     # one candidate (tile, splat) pair per tile under the square, splats in
-    # depth order
-    counts = span[:, 0] * span[:, 1]
-    owner = np.repeat(np.arange(order.size), counts)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    row, col = np.divmod(k, span[:, 0][owner])
-    tx = lo[:, 0][owner] + col
-    ty = lo[:, 1][owner] + row
-    keep = _reaches(tx, ty, *mean2d[order].T[:, owner], *conic[order].T[:, owner],
-                    tile, width, height)
-    splats = order[owner[keep]]
-    tid = ty[keep] * ntx + tx[keep]
+    # depth order; BIN_BLOCK splats at a time, so the candidates of a block
+    # follow those of the blocks in front of it
+    splats, tid = [order[:0]], [lo[:0, 0]]
+    for start in range(0, order.size, BIN_BLOCK):
+        blk = slice(start, start + BIN_BLOCK)
+        counts = span[blk, 0] * span[blk, 1]
+        owner = np.repeat(np.arange(counts.size), counts)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        row, col = np.divmod(k, span[blk, 0][owner])
+        tx = lo[blk, 0][owner] + col
+        ty = lo[blk, 1][owner] + row
+        mine = order[blk]
+        keep = _reaches(tx, ty, *mean2d[mine].T[:, owner], *conic[mine].T[:, owner],
+                        tile, width, height)
+        splats.append(mine[owner[keep]])
+        tid.append(ty[keep] * ntx + tx[keep])
+    splats, tid = np.concatenate(splats), np.concatenate(tid)
     touched = np.zeros(n, dtype=bool)
     touched[splats] = True
     # a stable sort by tile keeps depth order inside each tile
@@ -406,9 +445,11 @@ def _views(rows, p, k):
     """C-contiguous (p, k) views of the calling thread's scratch rows, for a
     tile of p pixels and k <= CHUNK + 1: float64 rows 0-10 and bool rows
     11-12 of p * (CHUNK + 1) entries, made on first use and again for a tile
-    of more pixels. The rows are per thread so that renders called from two
-    threads never share them. The chunk step uses rows 0-6, 11 and 12, the
-    tile backward rows 7-10 and 11."""
+    of more pixels (at the defaults, 64 * 257 entries, 1.5 MB in all). The
+    rows are per thread so that renders called from two threads never share
+    them. The chunk step uses rows 0-6, 11 and 12 (row 12 only on a slice
+    that crosses the cutoff), the tile backward rows 7-10 and 11 (row 11
+    only on a capped slice)."""
     size = p * (CHUNK + 1)
     if getattr(_SCRATCH, "size", 0) < size:
         _SCRATCH.size = size
@@ -421,39 +462,53 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, want_t_out=True):
     entering with transmittance t_in, against one depth-ordered slice idx of
     a tile's splats.
 
-    The transmittance product is seeded with t_in, so it is the same
-    sequential product as over the whole tile. The splats a pixel processes
-    are a prefix of its list; the returned t_out is the transmittance after
-    its last processed one, which is both the seed of the next slice and,
-    after the last slice, the pixel's final transmittance (None unless
-    want_t_out). The (pixels, splats) results are views into this thread's
-    workspace, valid only until the next chunk step on that thread.
+    h is the exponent -0.5 q of each splat's footprint at each pixel. The
+    transmittance product is seeded with t_in, so it is the same sequential
+    product as over the whole tile. The splats a pixel processes are a
+    prefix of its list; the returned t_out is the transmittance after its
+    last processed one, which is both the seed of the next slice and, after
+    the last slice, the pixel's final transmittance (None unless
+    want_t_out). alpha_raw is None on a slice that never reaches ALPHA_MAX,
+    where alpha is alpha_raw, and proc is None on a slice that every pixel
+    processes whole. The (pixels, splats) results are views into this
+    thread's workspace, valid only until the next chunk step on that thread.
     """
     p, k = t_in.size, idx.size
-    q, G, alpha_raw, alpha, w, inside, proc = _views((0, 1, 2, 3, 4, 11, 12), p, k)
+    h, G, alpha_raw, alpha, w, inside, proc = _views((0, 1, 2, 3, 4, 11, 12), p, k)
     scan, T = _views((5, 6), p, k + 1)
     dx = xs[:, None] - mean2d[idx, 0]
     dy = ys[:, None] - mean2d[idx, 1]
+    # -0.5 q from coefficients scaled by -0.5: a power of two, so each
+    # product and sum is -0.5 times q's, exactly
     a, b, c = conic[idx].T
-    q3 = q.reshape(ys.size, xs.size, k)
-    np.multiply((2.0 * b * dx)[None], dy[:, None], out=q3)
-    q3 += (a * dx * dx)[None]
-    q3 += (c * dy * dy)[:, None]
-    # exp(-0.5 q) masked by a product, as np.where would: exp is finite at q >= 0
-    np.multiply(q, -0.5, out=G)
-    np.exp(G, out=G)
-    G *= np.less_equal(q, FOOTPRINT_CHI2, out=inside)
+    h3 = h.reshape(ys.size, xs.size, k)
+    np.multiply((-b * dx)[None], dy[:, None], out=h3)
+    h3 += (-0.5 * a * dx * dx)[None]
+    h3 += (-0.5 * c * dy * dy)[:, None]
+    # exp(h) masked by a product, as np.where would: exp is finite at h <= 0
+    np.exp(h, out=G)
+    G *= np.greater_equal(h, -0.5 * FOOTPRINT_CHI2, out=inside)
     np.multiply(opac[idx], G, out=alpha_raw)
-    np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
+    # alpha_raw <= opac, since G <= 1
+    if opac[idx].max() > ALPHA_MAX and alpha_raw.max() > ALPHA_MAX:
+        np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
+    else:
+        alpha, alpha_raw = alpha_raw, None
     scan[:, 0] = t_in
     one_minus_alpha = np.subtract(1.0, alpha, out=scan[:, 1:])
     np.cumprod(scan, axis=1, out=T)
     t_before = T[:, :-1]
-    np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
     np.multiply(alpha, t_before, out=w)
-    w *= proc
-    t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
-    return dx, dy, q, G, alpha_raw, one_minus_alpha, t_before, proc, w, t_out
+    # transmittance never rises along a slice: if its last splat is processed
+    # at every pixel, so is every splat
+    if T[:, -2].min() >= TRANSMITTANCE_CUTOFF:
+        proc = None
+        t_out = T[:, -1].copy() if want_t_out else None
+    else:
+        np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
+        w *= proc
+        t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
+    return dx, dy, h, G, alpha_raw, one_minus_alpha, t_before, proc, w, t_out
 
 
 def _chunks(idx):
@@ -503,8 +558,12 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
         behind = acc[:, -1].copy()
         np.multiply(d_w, t_before, out=d_alpha)
         d_alpha -= np.divide(acc[:, -2::-1], one_minus_alpha, out=tmp)
-        np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
-        d_alpha *= np.logical_and(keep, proc, out=keep)   # d/d alpha_raw
+        # d/d alpha_raw: none past the cutoff or through the ALPHA_MAX cap
+        if alpha_raw is not None:
+            np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
+            proc = keep if proc is None else np.logical_and(keep, proc, out=keep)
+        if proc is not None:
+            d_alpha *= proc
         g = grads[lo:lo + sl.size]
         g[:, 5] = np.multiply(d_alpha, G, out=tmp).sum(axis=0)
         # d_q = d_alpha * opac * (-0.5 G), with the exact factor -0.5 on opac
@@ -589,10 +648,7 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     blur_dt = dt if train else 0.0
     sigma = noise_sigma if train else 0.0
     pose = _pose_forward(scene, partition, fieldp, neighbor_table, t, dt,
-                         blur_dt, sigma, rng, settings)
-    if not train:
-        # forward only: free the backward's caches before the raster
-        pose = {key: pose[key] for key in ("pos_t", "cov_render", "opac", "colors_c")}
+                         blur_dt, sigma, rng, settings, keep=train)
     proj = project(pose["pos_t"], pose["cov_render"], cam)
     tiles, touched = _bin_tiles(proj, cam.width, cam.height, settings.tile)
     image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,

@@ -40,7 +40,7 @@ from .losses import (
     reg_loss_backward,
 )
 from .renderer import ParamGrads, RenderSettings, render, render_backward
-from .scene import SCENE_PARAMS, Scene, read_checkpoint, write_checkpoint
+from .scene import SCENE_PARAMS, Scene, make_scene, read_checkpoint, write_checkpoint
 
 # Per-splat optimized arrays: their Adam moments follow every row edit.
 ROW_PARAMS = SCENE_PARAMS + ("features",)
@@ -288,19 +288,38 @@ def load_checkpoint(path):
     """The TrainState and meta that save_checkpoint wrote. Raises, naming the
     file and the entry, when an entry is missing, when a per-splat array's
     row count differs from positions', or when the neighbor table's differs
-    from the number of dynamic splats."""
+    from the number of dynamic splats, or when such an entry's dtype or
+    trailing shape differs from what save_checkpoint writes."""
     arrays, meta = read_checkpoint(path)
     try:
-        per_splat = [f.name for f in fields(Scene)] + [
-            "features", "grad_accum", "grad_count", "partition_dynamic", "partition_scores",
-            *(f"adam_{m}_{n}" for n in ROW_PARAMS for m in "mv")]
-        want = dict.fromkeys(per_splat, np.atleast_1d(arrays["positions"]).shape[:1])
+        # (trailing shape, dtype) per row-aligned entry; None: any width
+        empty = make_scene(*(np.zeros((0, d)) for d in (3, 4, 3)), np.zeros(0),
+                           np.zeros((0, 3)))
+        layout = {name: (a.shape[1:], a.dtype)
+                  for name, a in empty.per_gaussian_arrays().items()}
+        layout["features"] = ((None,), np.dtype(float))
+        layout.update(dict.fromkeys(("grad_accum", "grad_count", "partition_scores"),
+                                    ((), np.dtype(float))))
+        layout["partition_dynamic"] = ((), np.dtype(bool))
+        layout.update({f"adam_{m}_{n}": layout[n] for n in ROW_PARAMS for m in "mv"})
+        want = dict.fromkeys(layout, np.atleast_1d(arrays["positions"]).shape[:1])
         if "neighbor_table" in arrays:
+            layout["neighbor_table"] = ((None,), np.dtype(int))
             want["neighbor_table"] = (int(arrays["partition_dynamic"].sum()),)
         for name, rows in want.items():
-            if arrays[name].shape[:1] != rows:
+            entry = arrays[name]
+            if entry.shape[:1] != rows:
                 raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
-                                        f"{arrays[name].shape}, not {rows[0]} rows")
+                                        f"{entry.shape}, not {rows[0]} rows")
+            trail, dtype = layout[name]
+            if entry.ndim != 1 + len(trail) or any(
+                    w not in (None, got) for w, got in zip(trail, entry.shape[1:])):
+                shape = ", ".join("k" if w is None else str(w) for w in (rows[0], *trail))
+                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
+                                        f"{entry.shape}, not ({shape})")
+            if entry.dtype != dtype:
+                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has dtype "
+                                        f"{entry.dtype}, not {dtype}")
         scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
         fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
         adam = make_adam(scene, fieldp)

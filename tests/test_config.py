@@ -14,6 +14,7 @@ from kgs.config import (
     load_config,
 )
 from kgs.deform import fine_offsets_batch, init_field_params, predict_offsets_batch
+from kgs.renderer import RenderSettings
 
 
 class TestRoundTrip:
@@ -23,11 +24,14 @@ class TestRoundTrip:
 
     def test_changed_values(self):
         cfg = config_from_dict({"seed": 7, "kin.enabled": False, "clamp.dr": 1.5,
-                                "lod.rho": 0.25, "render.tile": 8,
+                                "lod.rho": 0.25, "render.tile": 12,
                                 "render.background": [0.1, 0.2, 0.3]})
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert again == cfg
-        assert again.background == (0.1, 0.2, 0.3) and again.render_tile == 8
+        assert again.background == (0.1, 0.2, 0.3) and again.render_tile == 12
+
+    def test_tile_default_is_the_renderers(self):
+        assert RunConfig().render_settings().tile == RenderSettings().tile
 
 
 # The fields perfbench reads by name, whose keys do not follow the rule.
@@ -94,7 +98,7 @@ EARLIER_KEYS = {
     "lr.position": 1e-3, "lr.position_final": 1e-5, "lr.rotation": 2e-3,
     "lr.scale": 4e-3, "lr.opacity": 0.03, "lr.color": 1e-3, "lr.field": 2e-3,
     "lr.field_final": 2e-5, "lr.features": 3e-3,
-    "render.background": [0.25, 0.5, 0.75], "render.tile": 8,
+    "render.background": [0.25, 0.5, 0.75], "render.tile": 12,
     "init.count": 50, "init.bound": 0.7, "init.scale": 0.03, "init.opacity": 0.2,
     "eval.holdout_every": 4,
 }

@@ -26,7 +26,6 @@ from kgs.gaussians import (
 from kgs.kinematics import VELOCITY_FLOOR
 from kgs.losses import ani_loss, ani_loss_backward, reg_loss, reg_loss_backward
 from kgs.renderer import (
-    CHUNK,
     RenderedFrame,
     RenderSettings,
     _bin_tiles,
@@ -43,8 +42,15 @@ from kgs.renderer import (
 from kgs.scene import make_scene
 from kgs.train import param_arrays
 
-# enough splats on every tile for three depth slices
-N_DEEP = 2 * CHUNK + 44
+# The deep scenes are sized for depth slices of SLICE splats, whatever the
+# production CHUNK: N_DEEP puts three slices on every tile.
+SLICE = 64
+N_DEEP = 2 * SLICE + 44
+
+
+@pytest.fixture(autouse=True)
+def slices_of_64(monkeypatch):
+    monkeypatch.setattr(renderer, "CHUNK", SLICE)
 
 
 def make_camera(w=20, h=12, f=20.0):
@@ -95,7 +101,7 @@ class TestTiledMatchesNaive:
         proj = project(positions, cov3, make_camera())
         tiles, _ = _bin_tiles(proj, 20, 12, 8)
         assert len(tiles) == 6
-        assert all(t.size == N_DEEP > 2 * CHUNK for t in tiles)
+        assert all(t.size == N_DEEP > 2 * SLICE for t in tiles)
 
     def test_opaque_crosses_cutoff_in_first_slice(self):
         rng = np.random.default_rng(1)
@@ -109,8 +115,8 @@ class TestTiledMatchesNaive:
         pts = deep_points(rng, N_DEEP, 8.0, 0.06)
         frame = self.check(*pts)
         assert (frame.transmittance < TRANSMITTANCE_CUTOFF).any()
-        # the nearest CHUNK splats alone leave every pixel above the cutoff
-        near = np.argsort(pts[0][:, 2])[:CHUNK]
+        # the nearest slice alone leaves every pixel above the cutoff
+        near = np.argsort(pts[0][:, 2])[:SLICE]
         first = render_points(*(a[near] for a in pts), make_camera(), SETTINGS)
         assert first.transmittance.min() > TRANSMITTANCE_CUTOFF
 
@@ -193,37 +199,101 @@ def kernel_tiles(tile):
     return tiles, rects, proj["mean2d"], proj["conic"], opac, colors, s
 
 
+def check_chunk_step(sl, xs, ys, t_in, mean2d, conic, opac):
+    """_chunk_step on one slice against composite_pixel at every pixel: -2 h
+    is the oracle's q exactly, and G, t_before, w and t_out are equal.
+    alpha_raw is returned where some alpha_raw exceeds ALPHA_MAX, else None;
+    proc is None where every pixel processes the slice whole. Returns the
+    chunk step's results, valid until the next chunk step."""
+    out = _chunk_step(sl, xs, ys, t_in, mean2d, conic, opac)
+    _, _, h, G, alpha_raw, _, t_before, proc, w, t_out = out
+    whole = True
+    for p, (px, py) in enumerate((x, y) for y in ys for x in xs):
+        (q_p, G_p, a_p, t_p, w_p), t_end = composite_pixel(
+            px, py, sl, t_in[p], mean2d, conic, opac)
+        np.testing.assert_array_equal(-2.0 * h[p], q_p)
+        np.testing.assert_array_equal(G[p], G_p)
+        np.testing.assert_array_equal(t_before[p], t_p)
+        np.testing.assert_array_equal(w[p], w_p)
+        assert t_out[p] == t_end
+        if alpha_raw is not None:
+            np.testing.assert_array_equal(alpha_raw[p], a_p)
+        whole &= bool(t_p[-1] >= TRANSMITTANCE_CUTOFF)
+    assert (alpha_raw is None) == (opac[sl] * G <= ALPHA_MAX).all()
+    assert (proc is None) == whole
+    if proc is not None:
+        np.testing.assert_array_equal(proc, t_before >= TRANSMITTANCE_CUTOFF)
+    return out
+
+
+def shortcut_tile():
+    """One 8x8 tile and three slices of SLICE round splats of 6 px, depth
+    ordered: faint ones (opacity 0.02) that every pixel processes whole;
+    faint ones (0.01) with one opaque (0.999) and narrow (0.6 px) splat on a
+    pixel centre, capped at ALPHA_MAX there, still processed whole; then
+    half-opaque ones, past whose first few every pixel is below the
+    cutoff."""
+    rng = np.random.default_rng(21)
+    n = 3 * SLICE
+    mean2d = rng.uniform(2.0, 6.0, (n, 2))
+    sigma = np.full(n, 6.0)
+    opac = np.repeat([0.02, 0.01, 0.5], SLICE)
+    mean2d[SLICE + 5], sigma[SLICE + 5], opac[SLICE + 5] = (3.5, 4.5), 0.6, 0.999
+    proj = screen_projection(mean2d, sigma, sigma, np.zeros(n))
+    colors = rng.uniform(0.05, 0.95, (n, 3))
+    return np.arange(n), (0, 0, 8, 8), proj["mean2d"], proj["conic"], opac, colors
+
+
 class TestKernel:
     @pytest.mark.parametrize("tile", [16, 6])
     def test_chunk_step_matches_per_pixel(self, tile):
         """Full and ragged tiles with W != H (16x12 and 4x12; 6x6 and 2x6),
         over slices seeded with the previous slice's transmittance."""
-        tiles, rects, mean2d, conic, opac, _, s = kernel_tiles(tile)
+        tiles, rects, mean2d, conic, opac, *_ = kernel_tiles(tile)
         shapes, crossed, missed, clamped = set(), 0, 0, 0
         for idx, rect in zip(tiles, rects):
             xs, ys = _pixel_axes(rect)
             shapes.add((xs.size, ys.size))
-            assert idx.size > 2 * CHUNK
-            pixels = [(x, y) for y in ys for x in xs]
-            t_in = np.ones(len(pixels))
-            for lo in range(0, idx.size, CHUNK):
-                sl = idx[lo:lo + CHUNK]
-                _, _, q, G, _, _, t_before, proc, w, t_out = _chunk_step(
-                    sl, xs, ys, t_in, mean2d, conic, opac, s)
-                for p, (px, py) in enumerate(pixels):
-                    (q_p, G_p, _, t_p, w_p), t_end = composite_pixel(
-                        px, py, sl, t_in[p], mean2d, conic, opac)
-                    np.testing.assert_array_equal(q[p], q_p)
-                    np.testing.assert_array_equal(G[p], G_p)
-                    np.testing.assert_array_equal(t_before[p], t_p)
-                    np.testing.assert_array_equal(w[p], w_p)
-                    assert t_out[p] == t_end
-                crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
+            assert idx.size > 2 * SLICE
+            t_in = np.ones(xs.size * ys.size)
+            for lo in range(0, idx.size, SLICE):
+                sl = idx[lo:lo + SLICE]
+                _, _, _, G, _, _, _, proc, _, t_out = check_chunk_step(
+                    sl, xs, ys, t_in, mean2d, conic, opac)
+                if proc is not None:
+                    crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
                 missed += int((G == 0).sum())
                 clamped += int((opac[sl] * G > ALPHA_MAX).sum())
                 t_in = t_out
         assert shapes == ({(16, 12), (4, 12)} if tile == 16 else {(6, 6), (2, 6)})
         assert crossed > 0 and missed > 0 and clamped > 0
+
+    def test_slice_shortcuts(self):
+        """A slice processed whole and uncapped, one processed whole and
+        capped, and one crossing the cutoff mid-slice at every pixel, in
+        the chunk step and in the tile backward."""
+        idx, rect, mean2d, conic, opac, colors = shortcut_tile()
+        xs, ys = _pixel_axes(rect)
+        t_in = np.ones(64)
+        shortcuts = []
+        for lo in range(0, idx.size, SLICE):
+            *_, alpha_raw, _, _, proc, _, t_out = check_chunk_step(
+                idx[lo:lo + SLICE], xs, ys, t_in, mean2d, conic, opac)
+            shortcuts.append((alpha_raw is None, proc is None))
+            if proc is not None:
+                assert proc[:, 0].all() and not proc[:, -1].any()
+            t_in = t_out
+        assert shortcuts == [(True, True), (False, True), (True, False)]
+        s = RenderSettings(background=SETTINGS.background, tile=8)
+        _, t_final, _, starts = _tile_forward(idx, rect, mean2d, conic, opac, colors, s)
+        d_img = np.random.default_rng(22).normal(size=(8, 8, 3))
+        got = _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors, s,
+                             d_img)
+        want = tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s, d_img)
+        scale = np.abs(want).max(axis=0)
+        assert (scale > 0).all()
+        assert (np.abs(got - want) <= 1e-13 * scale).all(), \
+            np.abs(got - want).max(axis=0) / scale
 
     @pytest.mark.parametrize("tile", [16, 6])
     def test_tile_backward_matches_per_pixel_moments(self, tile):
@@ -329,7 +399,7 @@ class TestBackward:
         scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
         frame, tape = train_frame(scene, fieldp, partition, table, cam, settings, dt)
         pose = tape.pose
-        assert max(t.size for t in tape.tiles) > 2 * CHUNK
+        assert max(t.size for t in tape.tiles) > 2 * SLICE
         assert 0.0 < frame.image.min() and frame.image.max() < 1.0
         assert frame.transmittance.min() > TRANSMITTANCE_CUTOFF
         assert pose["cf_active"] == (case not in ("coarse_fine_off", "all_static"))
@@ -433,6 +503,33 @@ def render_and_backward(case):
     return out
 
 
+class TestRetiling:
+    def test_tile_and_chunk_regroup_sums_only(self, monkeypatch):
+        """Tile 16 with slices of 64 against tile 8 with slices of 256:
+        transmittance is the same sequential product, so it is equal;
+        images, importance and gradients only regroup sums over tiles and
+        slices (importance and gradients relative to their largest entry)."""
+        scene, fieldp, partition, table, cam = deep_scene(4, n=300, opacity=0.3)
+        out = []
+        for tile, chunk in ((16, 64), (8, 256)):
+            monkeypatch.setattr(renderer, "CHUNK", chunk)
+            s = RenderSettings(background=SETTINGS.background, tile=tile)
+            frame = render(scene, partition, fieldp, cam, 0.3, s, mode="eval",
+                           neighbor_table=table)
+            train, tape = train_frame(scene, fieldp, partition, table, cam, s)
+            assert max(t.size for t in tape.tiles) > chunk
+            d_img = np.random.default_rng(7).normal(size=train.image.shape)
+            grads = render_backward(tape, d_img, fieldp, *no_extras(tape))
+            out.append((frame, train, grads))
+        (eval16, train16, grads16), (eval8, train8, grads8) = out
+        for a, b in ((eval16, eval8), (train16, train8)):
+            np.testing.assert_array_equal(a.transmittance, b.transmittance)
+            assert np.abs(a.image - b.image).max() <= 1e-15
+            assert np.abs(a.importance - b.importance).max() <= 1e-15 * a.importance.max()
+        for name, g in grads16.grads.items():
+            assert np.abs(g - grads8.grads[name]).max() <= 1e-13 * np.abs(g).max(), name
+
+
 class TestWorkspace:
     def test_interleaved_calls(self):
         """Renders and backwards of a scene at two tile sizes (with partial
@@ -501,7 +598,7 @@ class TestWorkspace:
         worker.start()
         worker.join(timeout=120)
         assert (cam.width, cam.height) == (20, 12)
-        assert sizes == [20 * 12 * (CHUNK + 1)]
+        assert sizes == [20 * 12 * (renderer.CHUNK + 1)]
 
 
 class TestPoseStage:
@@ -512,6 +609,23 @@ class TestPoseStage:
             render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train", dt=0.125)
         s = RenderSettings(background=SETTINGS.background, tile=8, coarse_fine=False)
         render(scene, partition, fieldp, cam, 0.3, s, mode="train", dt=0.125)
+
+    @pytest.mark.parametrize("case", ["generic", "all_static"])
+    def test_eval_pose_is_the_train_pose(self, case):
+        """Without backward state, and with the predictor run on the dynamic
+        rows alone, the pose stage gives the train mode's positions and
+        covariances at noise 0 and zero exposure. (On a few rows, BLAS may
+        take another kernel for the predictor's products than on all rows,
+        numpy a matrix-vector one for a single row, and a row's offsets can
+        then differ in the last bit.)"""
+        scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
+        args = (scene, partition, fieldp, table, 0.3, dt, 0.0, 0.0, None, settings)
+        train = renderer._pose_forward(*args)
+        pose = renderer._pose_forward(*args, keep=False)
+        assert set(pose) == {"pos_t", "cov_render", "opac", "colors_c"}
+        for key in pose:
+            np.testing.assert_array_equal(pose[key], train[key])
+        assert train["ridx"].size == partition.dynamic_indices.size
 
     @pytest.mark.parametrize("mode", ["Train", "test", None])
     def test_unknown_mode_rejected(self, mode):
@@ -675,11 +789,11 @@ def check_binning(proj, width, height, tile):
         gone = np.setdiff1d(sq, got)
         dropped += gone.size
         xs, ys = _pixel_axes(_tile_rect(tid, ntx, tile, width, height))
-        for lo in range(0, gone.size, CHUNK):
-            sl = gone[lo:lo + CHUNK]
-            _, _, q, G, *_ = _chunk_step(sl, xs, ys, np.ones(xs.size * ys.size),
+        for lo in range(0, gone.size, SLICE):
+            sl = gone[lo:lo + SLICE]
+            _, _, h, G, *_ = _chunk_step(sl, xs, ys, np.ones(xs.size * ys.size),
                                          proj["mean2d"], proj["conic"], np.ones(n), s)
-            assert np.all(q > FOOTPRINT_CHI2) and not G.any()
+            assert np.all(-2.0 * h > FOOTPRINT_CHI2) and not G.any()
     np.testing.assert_array_equal(touched, kept_anywhere)
     return dropped
 
@@ -758,6 +872,22 @@ class TestBinning:
         square = np.bincount(np.concatenate(square_bins(proj, 64, 64, 8)), minlength=3)
         assert np.all(per_splat < square // 2)
         assert check_binning(proj, 64, 64, 8) > 64
+
+    @pytest.mark.parametrize("block", [1, 7, 401])
+    @pytest.mark.parametrize("seed,tile", [(0, 8), (2, 5)])
+    def test_blocks_bin_alike(self, monkeypatch, seed, tile, block):
+        """Any BIN_BLOCK gives the per-pair loop's tile lists and touched
+        splats; at tile 5 the 37x29 image has partial edge tiles."""
+        proj, cam = scattered_projection(seed)
+        monkeypatch.setattr(renderer, "BIN_BLOCK", block)
+        tiles, touched = _bin_tiles(proj, cam.width, cam.height, tile)
+        want_tiles, want_touched = bin_tiles_loop(proj, cam.width, cam.height, tile)
+        np.testing.assert_array_equal(touched, want_touched)
+        assert len(tiles) == len(want_tiles)
+        for got, want in zip(tiles, want_tiles):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert touched.sum() > block or block == 401 > proj["valid"].size
 
     def test_nothing_visible(self):
         proj, cam = scattered_projection(3, n=5)

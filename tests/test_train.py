@@ -424,6 +424,19 @@ class TestCheckpoint:
         write_checkpoint(path, arrays, meta)
         assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, not {n} rows")
 
+    @pytest.mark.parametrize("entry,change,detail", [
+        ("partition_dynamic", lambda a: a.astype(float), "has dtype float64, not bool"),
+        ("quaternions", lambda a: a[:, :3], "has shape ({n}, 3), not ({n}, 4)"),
+        ("neighbor_table", lambda a: a[:, 0], "has shape ({m},), not ({m}, k)"),
+    ], ids=["dynamic_as_float", "quaternions_n_by_3", "one_dimensional_table"])
+    def test_dtype_and_trailing_shape_checked(self, tmp_path, entry, change, detail):
+        """Caught when the checkpoint loads, not at the first render."""
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        n, m = arrays["positions"].shape[0], arrays["neighbor_table"].shape[0]
+        arrays[entry] = change(arrays[entry])
+        write_checkpoint(path, arrays, meta)
+        assert_rejected(path, f"entry {entry!r} " + detail.format(n=n, m=m))
+
     def test_neighbor_table_row_count_checked(self, tmp_path):
         """One row per dynamic splat."""
         path, arrays, meta = saved_checkpoint(tmp_path)
