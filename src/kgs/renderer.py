@@ -9,9 +9,9 @@ front-to-back per pixel. The backward pass is fully analytic and mirrors
 every stage. Binning takes the depth-ordered splats BIN_BLOCK at a time, so
 its candidate (tile, splat) arrays stay a block's size.
 
-An eval-mode render keeps no backward state: the pose stage builds none of
-the head, clamp, refinement or frame caches and runs the offset predictor
-on the dynamic rows alone, whose offsets are the only ones it applies.
+An eval-mode render keeps no backward state: the pose stage drops the head
+and clamp caches once the offsets exist and builds none of the refinement
+or frame caches.
 
 A tile is composited in depth-ordered slices of CHUNK (256) splats by one
 chunk step, which the forward and the backward pass share. The forward
@@ -30,13 +30,6 @@ rounding, so h is exactly -0.5 times the per-pixel q; only three of its
 operations are pixels x splats. The backward sums d q over rows and over
 columns and weights the sums by dx and dy: only the cross moment needs a
 full-size product.
-
-Two slice shortcuts skip full-size passes without changing a bit. The
-ALPHA_MAX cap, and its mask in the backward, run only on a slice where some
-opacity times G exceeds it. Transmittance never rises along a slice, so
-where every pixel still has its last t_before at or above
-TRANSMITTANCE_CUTOFF the whole slice is processed: the processed mask and
-its t_out gather are skipped.
 
 Every pixels x splats array is a C-contiguous view of a per-thread
 workspace (see _views), so no slice allocates one. The chunk step computes
@@ -184,20 +177,18 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
                   blur_dt, noise_sigma, rng, s: RenderSettings, keep=True):
     """Deformed positions and rendered covariances, with opacities and
     colours. With keep, everything _pose_backward reads; without, only
-    pos_t, cov_render, opac and colors_c, and the predictor runs on the
-    dynamic rows alone: a static row's raw offsets feed only the offset
-    regulariser of a train frame."""
+    pos_t, cov_render, opac and colors_c. The predictor runs on every row
+    in both modes, so an eval pose is bit-identical to a train pose (BLAS
+    may round a product of fewer rows differently)."""
     n = scene.n
     _check_pose(n, scene.positions, scene.quaternions, scene.log_scales)
     dyn = partition.dynamic
     dyn_idx = partition.dynamic_indices
     q_n = quat_normalize(scene.quaternions)
 
-    rows = slice(None) if keep else dyn_idx
     raw, pred_cache = predict_offsets_batch(
-        fieldp, scene.positions[rows], q_n[rows], scene.log_scales[rows], t, noise_sigma,
-        rng, s.clamps)
-    raw_dyn = raw[dyn_idx] if keep else raw
+        fieldp, scene.positions, q_n, scene.log_scales, t, noise_sigma, rng, s.clamps)
+    raw_dyn = raw[dyn_idx]
 
     fine_cache = None
     if s.coarse_fine and dyn_idx.size:
@@ -447,9 +438,8 @@ def _views(rows, p, k):
     11-12 of p * (CHUNK + 1) entries, made on first use and again for a tile
     of more pixels (at the defaults, 64 * 257 entries, 1.5 MB in all). The
     rows are per thread so that renders called from two threads never share
-    them. The chunk step uses rows 0-6, 11 and 12 (row 12 only on a slice
-    that crosses the cutoff), the tile backward rows 7-10 and 11 (row 11
-    only on a capped slice)."""
+    them. The chunk step uses rows 0-6, 11 and 12, the tile backward rows
+    7-10 and 11."""
     size = p * (CHUNK + 1)
     if getattr(_SCRATCH, "size", 0) < size:
         _SCRATCH.size = size
@@ -468,10 +458,8 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, want_t_out=True):
     prefix of its list; the returned t_out is the transmittance after its
     last processed one, which is both the seed of the next slice and, after
     the last slice, the pixel's final transmittance (None unless
-    want_t_out). alpha_raw is None on a slice that never reaches ALPHA_MAX,
-    where alpha is alpha_raw, and proc is None on a slice that every pixel
-    processes whole. The (pixels, splats) results are views into this
-    thread's workspace, valid only until the next chunk step on that thread.
+    want_t_out). The (pixels, splats) results are views into this thread's
+    workspace, valid only until the next chunk step on that thread.
     """
     p, k = t_in.size, idx.size
     h, G, alpha_raw, alpha, w, inside, proc = _views((0, 1, 2, 3, 4, 11, 12), p, k)
@@ -489,25 +477,15 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, want_t_out=True):
     np.exp(h, out=G)
     G *= np.greater_equal(h, -0.5 * FOOTPRINT_CHI2, out=inside)
     np.multiply(opac[idx], G, out=alpha_raw)
-    # alpha_raw <= opac, since G <= 1
-    if opac[idx].max() > ALPHA_MAX and alpha_raw.max() > ALPHA_MAX:
-        np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
-    else:
-        alpha, alpha_raw = alpha_raw, None
+    np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
     scan[:, 0] = t_in
     one_minus_alpha = np.subtract(1.0, alpha, out=scan[:, 1:])
     np.cumprod(scan, axis=1, out=T)
     t_before = T[:, :-1]
+    np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
     np.multiply(alpha, t_before, out=w)
-    # transmittance never rises along a slice: if its last splat is processed
-    # at every pixel, so is every splat
-    if T[:, -2].min() >= TRANSMITTANCE_CUTOFF:
-        proc = None
-        t_out = T[:, -1].copy() if want_t_out else None
-    else:
-        np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
-        w *= proc
-        t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
+    w *= proc
+    t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
     return dx, dy, h, G, alpha_raw, one_minus_alpha, t_before, proc, w, t_out
 
 
@@ -558,12 +536,8 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
         behind = acc[:, -1].copy()
         np.multiply(d_w, t_before, out=d_alpha)
         d_alpha -= np.divide(acc[:, -2::-1], one_minus_alpha, out=tmp)
-        # d/d alpha_raw: none past the cutoff or through the ALPHA_MAX cap
-        if alpha_raw is not None:
-            np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
-            proc = keep if proc is None else np.logical_and(keep, proc, out=keep)
-        if proc is not None:
-            d_alpha *= proc
+        np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
+        d_alpha *= np.logical_and(keep, proc, out=keep)   # d/d alpha_raw
         g = grads[lo:lo + sl.size]
         g[:, 5] = np.multiply(d_alpha, G, out=tmp).sum(axis=0)
         # d_q = d_alpha * opac * (-0.5 G), with the exact factor -0.5 on opac

@@ -40,10 +40,20 @@ from .losses import (
     reg_loss_backward,
 )
 from .renderer import ParamGrads, RenderSettings, render, render_backward
-from .scene import SCENE_PARAMS, Scene, make_scene, read_checkpoint, write_checkpoint
+from .scene import SCENE_PARAMS, Scene, read_checkpoint, write_checkpoint
 
 # Per-splat optimized arrays: their Adam moments follow every row edit.
 ROW_PARAMS = SCENE_PARAMS + ("features",)
+# (trailing shape, dtype) of each row-aligned entry save_checkpoint writes,
+# besides the Adam moments; None: any width
+ROW_ENTRIES = {
+    "positions": ((3,), "float64"), "quaternions": ((4,), "float64"),
+    "log_scales": ((3,), "float64"), "opacity_logits": ((), "float64"),
+    "colors": ((3,), "float64"), "levels": ((), "int64"), "importance": ((), "float64"),
+    "features": ((None,), "float64"), "grad_accum": ((), "float64"),
+    "grad_count": ((), "float64"), "partition_scores": ((), "float64"),
+    "partition_dynamic": ((), "bool"),
+}
 
 
 def exponential_lr(initial, final, k, total):
@@ -292,19 +302,11 @@ def load_checkpoint(path):
     trailing shape differs from what save_checkpoint writes."""
     arrays, meta = read_checkpoint(path)
     try:
-        # (trailing shape, dtype) per row-aligned entry; None: any width
-        empty = make_scene(*(np.zeros((0, d)) for d in (3, 4, 3)), np.zeros(0),
-                           np.zeros((0, 3)))
-        layout = {name: (a.shape[1:], a.dtype)
-                  for name, a in empty.per_gaussian_arrays().items()}
-        layout["features"] = ((None,), np.dtype(float))
-        layout.update(dict.fromkeys(("grad_accum", "grad_count", "partition_scores"),
-                                    ((), np.dtype(float))))
-        layout["partition_dynamic"] = ((), np.dtype(bool))
-        layout.update({f"adam_{m}_{n}": layout[n] for n in ROW_PARAMS for m in "mv"})
+        layout = {**ROW_ENTRIES,
+                  **{f"adam_{m}_{n}": ROW_ENTRIES[n] for n in ROW_PARAMS for m in "mv"}}
         want = dict.fromkeys(layout, np.atleast_1d(arrays["positions"]).shape[:1])
         if "neighbor_table" in arrays:
-            layout["neighbor_table"] = ((None,), np.dtype(int))
+            layout["neighbor_table"] = ((None,), "int64")
             want["neighbor_table"] = (int(arrays["partition_dynamic"].sum()),)
         for name, rows in want.items():
             entry = arrays[name]

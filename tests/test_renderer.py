@@ -201,32 +201,25 @@ def kernel_tiles(tile):
 
 def check_chunk_step(sl, xs, ys, t_in, mean2d, conic, opac):
     """_chunk_step on one slice against composite_pixel at every pixel: -2 h
-    is the oracle's q exactly, and G, t_before, w and t_out are equal.
-    alpha_raw is returned where some alpha_raw exceeds ALPHA_MAX, else None;
-    proc is None where every pixel processes the slice whole. Returns the
-    chunk step's results, valid until the next chunk step."""
+    is the oracle's q exactly, and G, alpha_raw, t_before, w, t_out and the
+    processed mask are equal. Returns the chunk step's results, valid until
+    the next chunk step."""
     out = _chunk_step(sl, xs, ys, t_in, mean2d, conic, opac)
     _, _, h, G, alpha_raw, _, t_before, proc, w, t_out = out
-    whole = True
     for p, (px, py) in enumerate((x, y) for y in ys for x in xs):
         (q_p, G_p, a_p, t_p, w_p), t_end = composite_pixel(
             px, py, sl, t_in[p], mean2d, conic, opac)
         np.testing.assert_array_equal(-2.0 * h[p], q_p)
         np.testing.assert_array_equal(G[p], G_p)
+        np.testing.assert_array_equal(alpha_raw[p], a_p)
         np.testing.assert_array_equal(t_before[p], t_p)
         np.testing.assert_array_equal(w[p], w_p)
+        np.testing.assert_array_equal(proc[p], t_p >= TRANSMITTANCE_CUTOFF)
         assert t_out[p] == t_end
-        if alpha_raw is not None:
-            np.testing.assert_array_equal(alpha_raw[p], a_p)
-        whole &= bool(t_p[-1] >= TRANSMITTANCE_CUTOFF)
-    assert (alpha_raw is None) == (opac[sl] * G <= ALPHA_MAX).all()
-    assert (proc is None) == whole
-    if proc is not None:
-        np.testing.assert_array_equal(proc, t_before >= TRANSMITTANCE_CUTOFF)
     return out
 
 
-def shortcut_tile():
+def three_slice_tile():
     """One 8x8 tile and three slices of SLICE round splats of 6 px, depth
     ordered: faint ones (opacity 0.02) that every pixel processes whole;
     faint ones (0.01) with one opaque (0.999) and narrow (0.6 px) splat on a
@@ -260,30 +253,28 @@ class TestKernel:
                 sl = idx[lo:lo + SLICE]
                 _, _, _, G, _, _, _, proc, _, t_out = check_chunk_step(
                     sl, xs, ys, t_in, mean2d, conic, opac)
-                if proc is not None:
-                    crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
+                crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
                 missed += int((G == 0).sum())
                 clamped += int((opac[sl] * G > ALPHA_MAX).sum())
                 t_in = t_out
         assert shapes == ({(16, 12), (4, 12)} if tile == 16 else {(6, 6), (2, 6)})
         assert crossed > 0 and missed > 0 and clamped > 0
 
-    def test_slice_shortcuts(self):
+    def test_whole_capped_and_crossing_slices(self):
         """A slice processed whole and uncapped, one processed whole and
         capped, and one crossing the cutoff mid-slice at every pixel, in
         the chunk step and in the tile backward."""
-        idx, rect, mean2d, conic, opac, colors = shortcut_tile()
+        idx, rect, mean2d, conic, opac, colors = three_slice_tile()
         xs, ys = _pixel_axes(rect)
         t_in = np.ones(64)
-        shortcuts = []
+        kinds = []
         for lo in range(0, idx.size, SLICE):
             *_, alpha_raw, _, _, proc, _, t_out = check_chunk_step(
                 idx[lo:lo + SLICE], xs, ys, t_in, mean2d, conic, opac)
-            shortcuts.append((alpha_raw is None, proc is None))
-            if proc is not None:
-                assert proc[:, 0].all() and not proc[:, -1].any()
+            kinds.append((bool((alpha_raw > ALPHA_MAX).any()), bool(proc.all()),
+                          bool(proc[:, 0].all() and not proc[:, -1].any())))
             t_in = t_out
-        assert shortcuts == [(True, True), (False, True), (True, False)]
+        assert kinds == [(False, True, False), (True, True, False), (False, False, True)]
         s = RenderSettings(background=SETTINGS.background, tile=8)
         _, t_final, _, starts = _tile_forward(idx, rect, mean2d, conic, opac, colors, s)
         d_img = np.random.default_rng(22).normal(size=(8, 8, 3))
@@ -610,14 +601,11 @@ class TestPoseStage:
         s = RenderSettings(background=SETTINGS.background, tile=8, coarse_fine=False)
         render(scene, partition, fieldp, cam, 0.3, s, mode="train", dt=0.125)
 
-    @pytest.mark.parametrize("case", ["generic", "all_static"])
+    @pytest.mark.parametrize("case", ["generic", "all_static", "one_dynamic"])
     def test_eval_pose_is_the_train_pose(self, case):
-        """Without backward state, and with the predictor run on the dynamic
-        rows alone, the pose stage gives the train mode's positions and
-        covariances at noise 0 and zero exposure. (On a few rows, BLAS may
-        take another kernel for the predictor's products than on all rows,
-        numpy a matrix-vector one for a single row, and a row's offsets can
-        then differ in the last bit.)"""
+        """Without backward state the pose stage gives the train mode's
+        positions and covariances at noise 0 and zero exposure, also with a
+        single dynamic row."""
         scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
         args = (scene, partition, fieldp, table, 0.3, dt, 0.0, 0.0, None, settings)
         train = renderer._pose_forward(*args)

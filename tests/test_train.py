@@ -10,6 +10,7 @@ from kgs.deform import FIELD_PARAMS, build_neighbor_table, init_field_params
 from kgs.gaussians import Camera, InvalidInputError, NumericalError
 from kgs.scene import SCENE_PARAMS, random_scene, read_checkpoint, write_checkpoint
 from kgs.train import (
+    ROW_ENTRIES,
     ROW_PARAMS,
     TrainState,
     advance_scene_level,
@@ -311,7 +312,7 @@ class TestRegistry:
         assert list(param_arrays(state.scene, state.fieldp)) == names
         assert list(state.adam.m) == list(state.adam.v) == names
         assert list(learning_rates(cfg, 1)) == names
-        assert set(SCENE_PARAMS) <= set(state.scene.per_gaussian_arrays())
+        assert set(SCENE_PARAMS) <= set(state.scene.per_gaussian_arrays()) <= set(ROW_ENTRIES)
         save_checkpoint(tmp_path / "s.kgs", state, CONFIG)
         arrays, _ = read_checkpoint(tmp_path / "s.kgs")
         assert [n for n in arrays if f"adam_m_{n}" in arrays] == names
