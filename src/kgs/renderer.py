@@ -247,7 +247,8 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             "ridx": ridx, "basis": basis_cache, "refine": refine_cache,
             "cov_render": cov_render, "scales_render": scales_render, "colors_c": colors_c,
             "color_mask": color_mask, "opac": opac, "dt": dt,
-            "quats_raw": scene.quaternions.copy(), "cf_active": bool(s.coarse_fine and dyn_idx.size)}
+            "q_norm": np.linalg.norm(scene.quaternions, axis=1, keepdims=True),
+            "cf_active": bool(s.coarse_fine and dyn_idx.size)}
 
 
 def _pose_backward(pose, fieldp, d_pos_t, d_cov3, d_dx_extra, d_scales_extra):
@@ -290,9 +291,7 @@ def _pose_backward(pose, fieldp, d_pos_t, d_cov3, d_dx_extra, d_scales_extra):
 
     # rotation residual (dynamic rows only; static rows held at zero)
     d_dr_render = np.zeros((n, 3))
-    if dyn_idx.size:
-        dexp = dexp_map_so3(pose["offsets"][dyn_idx, 3:6])
-        d_dr_render[dyn_idx] = np.einsum("nab,nmab->nm", d_E[dyn_idx], dexp)
+    d_dr_render[dyn_idx] = dexp_map_so3(pose["offsets"][dyn_idx, 3:6], E[dyn_idx], d_E[dyn_idx])
 
     # velocity path
     d_dx_render += d_v / pose["dt"]
@@ -320,13 +319,11 @@ def _pose_backward(pose, fieldp, d_pos_t, d_cov3, d_dx_extra, d_scales_extra):
     d_positions += d_pos_enc
     d_log_scales += d_ls_pred
 
-    # quaternion path: rotation matrices take the raw quaternion directly;
-    # the predictor consumed the normalized one
-    q_raw = pose["quats_raw"]
-    d_quats = np.einsum("nab,nmab->nm", d_Rq, drotmat_dquat(q_raw))
+    # quaternion path: the rotation matrices and the predictor both read the
+    # normalized quaternion, so one normalization backward serves both
     q_n = pose["q_n"]
-    norm_raw = np.linalg.norm(q_raw, axis=1, keepdims=True)
-    d_quats += (d_qn_pred - np.sum(d_qn_pred * q_n, axis=1, keepdims=True) * q_n) / norm_raw
+    d_qn = drotmat_dquat(q_n, d_Rq) + d_qn_pred
+    d_quats = (d_qn - np.sum(d_qn * q_n, axis=1, keepdims=True) * q_n) / pose["q_norm"]
 
     grads.update(positions=d_positions, quaternions=d_quats, log_scales=d_log_scales,
                  features=d_features)

@@ -20,7 +20,7 @@ from .decomposition import (
     evaluate_partition_schedule,
 )
 from .deform import FIELD_PARAMS, FieldParams, NoiseSchedule, build_neighbor_table
-from .gaussians import InvalidInputError, NumericalError
+from .gaussians import InvalidInputError, NumericalError, quat_normalize
 from .lod import (
     DensifyConfig,
     LodConfig,
@@ -169,6 +169,7 @@ def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
                          neighbor_table=state.neighbor_table, want_tape=True)
     img_val, img_cache = image_loss(frame.image, target, weights.lambda_dssim)
     d_image = image_loss_backward(img_cache)
+    del img_cache    # its SSIM maps would otherwise live through render_backward
 
     pose = tape.pose
     dyn = pose["dyn"]
@@ -263,9 +264,8 @@ def advance_scene_level(state: TrainState, lod_cfg: LodConfig):
 
 
 def recompute_partition(state: TrainState, tau, n_samples, clamps):
-    q_n = state.scene.quaternions / np.linalg.norm(state.scene.quaternions,
-                                                   axis=1, keepdims=True)
-    scores = compute_scores(state.fieldp, state.scene.positions, q_n,
+    scores = compute_scores(state.fieldp, state.scene.positions,
+                            quat_normalize(state.scene.quaternions),
                             state.scene.log_scales, clamps, n_samples)
     state.partition = classify(scores, tau)
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,10 +9,12 @@ from kgs.gaussians import (
     Camera,
     covariance_from_matrix,
     dexp_map_so3,
+    drotmat_dquat,
     exp_map_so3,
     project,
     project_backward,
     quat_to_rotmat,
+    skew,
 )
 from kgs.renderer import RenderSettings, _tile_forward
 
@@ -37,6 +40,50 @@ def alpha_blend(splats, background=(0.0, 0.0, 0.0)):
     pix, *_ = _tile_forward(np.arange(n), (0, 0, 1, 1), np.full((n, 2), 0.5),
                             np.tile([1.0, 0.0, 1.0], (n, 1)), opac, colors, s)
     return pix[0, 0]
+
+
+def dexp_jacobian(omega):
+    """Oracle: dR/d omega_m of exp_map_so3 as a (..., 3, 3, 3) tensor, from
+    dR/dw_i = ((w_i [w]x + [w x ((I - R) e_i)]x) / |w|^2) R and the skew
+    generators at w = 0 (accurate away from zero angle)."""
+    omega = np.asarray(omega, dtype=float)
+    R = exp_map_so3(omega)
+    theta2 = np.sum(omega * omega, axis=-1)
+    small = theta2 < 1e-16
+    t2safe = np.where(small, 1.0, theta2)
+    ImR = np.eye(3) - R
+    out = np.empty(omega.shape[:-1] + (3, 3, 3))
+    for i, e in enumerate(np.eye(3)):
+        num = omega[..., i, None, None] * skew(omega) + skew(np.cross(omega, ImR @ e))
+        out[..., i, :, :] = np.where(small[..., None, None], skew(e),
+                                     (num / t2safe[..., None, None]) @ R)
+    return out
+
+
+def quat_polynomial_partials(u):
+    """Oracle: the partials (..., 4, 3, 3) of quat_to_rotmat's polynomial in
+    the (w, x, y, z) components, without normalization."""
+    w, x, y, z = (u[..., i] for i in range(4))
+    o = np.zeros_like(w)
+
+    def m3(r0, r1, r2):
+        return np.stack([np.stack(r0, -1), np.stack(r1, -1), np.stack(r2, -1)], -2)
+
+    bw = 2 * m3([o, -z, y], [z, o, -x], [-y, x, o])
+    bx = 2 * m3([o, y, z], [y, -2 * x, -w], [z, w, -2 * x])
+    by = 2 * m3([-2 * y, x, w], [x, o, z], [-w, z, -2 * y])
+    bz = 2 * m3([-2 * z, -w, x], [w, -2 * z, y], [x, y, o])
+    return np.stack([bw, bx, by, bz], axis=-3)
+
+
+def drotmat_dquat_jacobian(q):
+    """Oracle: dR/dq_m of quat_to_rotmat wrt a raw quaternion as a
+    (..., 4, 3, 3) tensor, the polynomial partials times the normalization
+    Jacobian (I - u u^T) / |q|."""
+    n = np.linalg.norm(q, axis=-1, keepdims=True)
+    u = q / n
+    P = (np.eye(4) - u[..., :, None] * u[..., None, :]) / n[..., None]
+    return np.einsum("...jab,...jm->...mab", quat_polynomial_partials(u), P)
 
 
 def make_camera(fx=100.0, fy=100.0, cx=32.0, cy=32.0, w=64, h=64, near=0.01):
@@ -92,13 +139,44 @@ class TestExpMap:
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for w in [rng.normal(0, 1.5, 3) for _ in range(5)] + [np.zeros(3), np.array([1e-6, 0, 0])]:
-            D = dexp_map_so3(w)
+            d_R = rng.normal(size=(3, 3))
+            d_w = dexp_map_so3(w, exp_map_so3(w), d_R)
             h = 1e-6
             for m in range(3):
                 e = np.zeros(3)
                 e[m] = h
-                fd = (exp_map_so3(w + e) - exp_map_so3(w - e)) / (2 * h)
-                np.testing.assert_allclose(D[m], fd, atol=1e-6)
+                fd = np.sum(d_R * (exp_map_so3(w + e) - exp_map_so3(w - e))) / (2 * h)
+                np.testing.assert_allclose(d_w[m], fd, atol=1e-6)
+
+    def test_vjp_matches_the_jacobian_tensor(self):
+        rng = np.random.default_rng(9)
+        w = rng.normal(0, 1.5, (300, 3))
+        d_R = rng.normal(size=(300, 3, 3))
+        want = np.einsum("nab,nmab->nm", d_R, dexp_jacobian(w))
+        got = dexp_map_so3(w, exp_map_so3(w), d_R)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-8, 1e-6, 1e-4 * (1 - 1e-9),
+                                       1e-4 * (1 + 1e-9), 0.1, 3.0])
+    def test_vjp_is_the_right_jacobian_at_any_angle(self, theta):
+        """d_omega = J_r(omega)^T a, with a_i = <R^T d_R, [e_i]x> and
+        J_r^T = sum_k [omega]x^k / (k + 1)! summed to convergence, across
+        the series switch at 1e-4 and down to zero angle."""
+        rng = np.random.default_rng(10)
+        axes = rng.normal(size=(4, 3))
+        w = theta * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        R = exp_map_so3(w)
+        d_R = rng.normal(size=(4, 3, 3))
+        M = np.swapaxes(R, -1, -2) @ d_R
+        a = np.stack([np.sum(M * skew(e), axis=(-2, -1)) for e in np.eye(3)], axis=-1)
+        K = skew(w)
+        term = np.broadcast_to(np.eye(3), K.shape)
+        jt = term.copy()
+        for k in range(1, 40):
+            term = term @ K / (k + 1)
+            jt = jt + term
+        want = (jt @ a[..., None])[..., 0]
+        assert np.abs(dexp_map_so3(w, R, d_R) - want).max() <= 1e-13
 
 
 class TestQuaternions:
@@ -119,6 +197,41 @@ class TestQuaternions:
         np.testing.assert_allclose(R @ np.swapaxes(R, 1, 2),
                                    np.broadcast_to(np.eye(3), R.shape), atol=1e-12)
         np.testing.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
+
+    def test_vjp_matches_the_polynomial_partials(self):
+        """At a unit quaternion the VJP is the contraction with the partials
+        of quat_to_rotmat's polynomial, before normalization."""
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=(300, 4))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        d_R = rng.normal(size=(300, 3, 3))
+        want = np.einsum("nab,nmab->nm", d_R, quat_polynomial_partials(u))
+        got = drotmat_dquat(u, d_R)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("norm", [1e-3, 1.0, 1e3])
+    def test_vjp_through_normalization(self, norm):
+        """The VJP, then the normalization's backward, is the gradient wrt
+        a raw quaternion of any norm: against the Jacobian tensor and
+        against central differences."""
+        rng = np.random.default_rng(12)
+        q = rng.normal(size=(20, 4))
+        q *= norm / np.linalg.norm(q, axis=1, keepdims=True)
+        d_R = rng.normal(size=(20, 3, 3))
+        n = np.linalg.norm(q, axis=1, keepdims=True)
+        u = q / n
+        d_u = drotmat_dquat(u, d_R)
+        got = (d_u - np.sum(d_u * u, axis=1, keepdims=True) * u) / n
+        want = np.einsum("nab,nmab->nm", d_R, drotmat_dquat_jacobian(q))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        h = 1e-6 * norm
+        fd = np.empty_like(q)
+        for m in range(4):
+            e = np.zeros(4)
+            e[m] = h
+            diff = quat_to_rotmat(q + e) - quat_to_rotmat(q - e)
+            fd[:, m] = np.sum(d_R * diff, axis=(1, 2)) / (2 * h)
+        np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8 / norm)
 
 
 class TestProjection:

@@ -23,6 +23,23 @@ def rand_img(rng, h=16, w=16):
     return rng.uniform(0, 1, (h, w, 3))
 
 
+def blur_taps(stack):
+    """Oracle: the window as two zero-padded 'same' 1-D passes, H then W,
+    each a loop over the taps."""
+    x = np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2
+    w = np.exp(-0.5 * (x / SSIM_SIGMA) ** 2)
+    w /= w.sum()
+    half = SSIM_WINDOW // 2
+    for axis in (stack.ndim - 2, stack.ndim - 1):
+        n = stack.shape[axis]
+        pad = [(0, 0)] * stack.ndim
+        pad[axis] = (half, half)
+        padded = np.pad(stack, pad)
+        stack = sum(np.take(padded, np.arange(j, j + n), axis=axis) * w[j]
+                    for j in range(SSIM_WINDOW))
+    return stack
+
+
 class TestSSIM:
     def test_self_similarity(self):
         rng = np.random.default_rng(0)
@@ -80,6 +97,13 @@ class TestWindow:
             window = padded[..., i:i + SSIM_WINDOW, j:j + SSIM_WINDOW]
             want[..., i, j] = np.sum(window * w2d, axis=(-2, -1))
         assert np.abs(_blur(stack) - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(3, 13, 17), (3, 48, 48), (1, 7, 5), (2, 4, 12)])
+    def test_matches_the_tap_loop(self, shape):
+        """Also for maps narrower than the 11-tap window."""
+        stack = np.random.default_rng(9).uniform(0, 1, shape)
+        want = blur_taps(stack)
+        assert np.abs(_blur(stack) - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_gray_image_is_one_channel(self):
         rng = np.random.default_rng(8)
