@@ -8,6 +8,10 @@ six fields in _PERFBENCH_KEYS are the exceptions. perfbench reads them by
 their flat names (`cfg.hidden`, `cfg.k_neighbors`, `cfg.background`, ...),
 so those names stay until benchmark v2 sets itself up from dotted keys; the
 exceptions go with it.
+
+A setting that no run varies is a module constant, not a key: the offset
+bounds and the noise warm-up weight in deform.py, and the LOD floors, the
+pruned share and the densify thresholds in lod.py. The noise decays to 0.
 """
 from __future__ import annotations
 
@@ -17,8 +21,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .deform import NoiseSchedule, OffsetClamps
-from .lod import DensifyConfig, LodConfig
+from .deform import NoiseSchedule
+from .lod import DensifyConfig
 from .renderer import RenderSettings
 
 
@@ -50,29 +54,16 @@ class RunConfig:
     pos_bands: int = 4
     feature_dim: int = 16
 
-    clamp_dx: float = 3.0
-    clamp_dr: float = math.pi
-    clamp_ds: float = 5.0
-
     noise_sigma_init: float = 0.1
-    noise_sigma_final: float = 0.0
-    noise_w_delay: float = 0.2
     noise_k_delay: int = 500
 
-    lod_l_max: int = 3
-    lod_lambda: float = 0.002
-    lod_rho: float = 0.5
-    lod_q_prune: float = 0.1
+    lod_l_max: int = RenderSettings.l_max
 
     densify_grad_threshold: float = 1e-4
     densify_interval: int = 300
     densify_start: int = 500
     densify_end: int = 10000
-    densify_opacity_prune: float = 0.005
     densify_reset_iteration: int = 3000
-    densify_reset_value: float = 0.01
-    densify_percent_dense: float = 0.01
-    densify_scene_extent: float = 3.0
     densify_max_gaussians: int = 100000
 
     loss_lambda_dssim: float = 0.2
@@ -107,28 +98,19 @@ class RunConfig:
             tile=self.render_tile,
             kappa=self.kin_kappa, lambda_s=self.kin_lambda_s,
             refine_enabled=self.kin_enabled, coarse_fine=self.cf_enabled,
-            clamps=OffsetClamps(max_dx_norm=self.clamp_dx, max_dr_norm=self.clamp_dr,
-                                max_ds_abs=self.clamp_ds),
-            lod=LodConfig(l_max=self.lod_l_max, lam=self.lod_lambda,
-                          rho=self.lod_rho, q_prune=self.lod_q_prune))
+            l_max=self.lod_l_max)
 
     def densify(self) -> DensifyConfig:
         return DensifyConfig(
             grad_threshold=self.densify_grad_threshold,
-            opacity_prune=self.densify_opacity_prune,
             interval=self.densify_interval, window_start=self.densify_start,
             window_end=self.densify_end,
             reset_iteration=self.densify_reset_iteration,
-            reset_value=self.densify_reset_value,
-            percent_dense=self.densify_percent_dense,
-            scene_extent=self.densify_scene_extent,
             max_gaussians=self.densify_max_gaussians)
 
     def noise_schedule(self) -> NoiseSchedule:
         """The noise anneals over the whole run."""
-        return NoiseSchedule(sigma_init=self.noise_sigma_init,
-                             sigma_final=self.noise_sigma_final,
-                             k_max=self.iterations, w_delay=self.noise_w_delay,
+        return NoiseSchedule(sigma_init=self.noise_sigma_init, k_max=self.iterations,
                              k_delay=min(self.noise_k_delay, self.iterations))
 
     def loss_weights(self):
@@ -149,16 +131,11 @@ DOTTED_KEYS = {_PERFBENCH_KEYS.get(f.name, f.name.replace("_", ".", 1)): f.name
                for f in fields(RunConfig)}
 
 # The values each bounded setting accepts, as an interval: "[" and "]" are
-# closed ends, "(" and ")" open ones. noise.sigma_final is also bounded
-# above by noise.sigma_init (see config_from_dict).
+# closed ends, "(" and ")" open ones.
 _BOUNDS = {"render_tile": "[1, inf)", "k_neighbors": "[0, inf)", "batch": "[1, inf)",
            "cf_refresh": "[1, inf)", "densify_interval": "[1, inf)",
            "decomp_repeat": "[1, inf)", "decomp_samples": "[2, inf)",
-           "decomp_tau": "[0, inf)", "densify_reset_value": "(0, 1)",
-           "lod_rho": "(0, 1)", "lod_lambda": "(0, inf)", "lod_q_prune": "[0, 1]",
-           "noise_w_delay": "(0, 1]", "noise_sigma_init": "[0, inf)",
-           "noise_sigma_final": "[0, inf)", "clamp_dx": "[0, inf)",
-           "clamp_dr": "[0, inf)", "clamp_ds": "[0, inf)", "hidden": "[1, inf)",
+           "decomp_tau": "[0, inf)", "noise_sigma_init": "[0, inf)", "hidden": "[1, inf)",
            "time_bands": "[1, inf)", "lod_l_max": "[1, inf)", "pos_bands": "[0, inf)",
            "feature_dim": "[0, inf)", "loss_lambda_dssim": "[0, 1]",
            "loss_lambda_reg": "[0, inf)", "loss_lambda_ani": "[0, inf)",
@@ -209,11 +186,7 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
         if attr in _BOUNDS and not _in_interval(value, _BOUNDS[attr]):
             raise ConfigError(f"{key} must be in {_BOUNDS[attr]}, got {value!r}")
         updates[attr] = value
-    cfg = replace(cfg, **updates)
-    if cfg.noise_sigma_final > cfg.noise_sigma_init:
-        raise ConfigError(f"noise.sigma_final must be <= noise.sigma_init "
-                          f"({cfg.noise_sigma_init!r}), got {cfg.noise_sigma_final!r}")
-    return cfg
+    return replace(cfg, **updates)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -11,17 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import OffsetClamps, predict_offsets_batch
+from .deform import predict_offsets_batch
 from .gaussians import InvalidInputError
 
 
 @dataclass(frozen=True)
 class Partition:
     """Which splats are dynamic (a bool mask over all splats; the rest are
-    static), with the variance scores the mask was classified from."""
+    static)."""
 
     dynamic: np.ndarray
-    scores: np.ndarray
 
     @property
     def dynamic_indices(self):
@@ -30,7 +29,7 @@ class Partition:
 
 def all_dynamic_partition(n):
     """Before the first evaluation every splat is treated as dynamic."""
-    return Partition(dynamic=np.ones(n, dtype=bool), scores=np.full(n, np.inf))
+    return Partition(dynamic=np.ones(n, dtype=bool))
 
 
 def deformation_variance(offset_samples):
@@ -50,8 +49,7 @@ def classify(scores, tau) -> Partition:
     """Strict-greater threshold on the variance scores."""
     if tau < 0:
         raise InvalidInputError("tau must be >= 0")
-    scores = np.asarray(scores, dtype=float)
-    return Partition(dynamic=scores > tau, scores=scores)
+    return Partition(dynamic=np.asarray(scores, dtype=float) > tau)
 
 
 def evaluate_partition_schedule(iteration, warmup, repeat):
@@ -61,14 +59,13 @@ def evaluate_partition_schedule(iteration, warmup, repeat):
     return (iteration - warmup) % repeat == 0
 
 
-def compute_scores(field, positions, quats, log_scales, clamps: OffsetClamps,
-                   n_samples):
+def compute_scores(field, positions, quats, log_scales, n_samples):
     """Variance scores from noise-free offset predictions on a stratified
     timestamp grid over [0, 1]."""
     ts = (np.arange(n_samples) + 0.5) / n_samples
     samples = np.empty((n_samples, positions.shape[0], 3))
     for i, t in enumerate(ts):
         offsets, _ = predict_offsets_batch(field, positions, quats, log_scales,
-                                           t, 0.0, None, clamps)
+                                           t, 0.0, None)
         samples[i] = offsets[:, 0:3]
     return deformation_variance(samples)

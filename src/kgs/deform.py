@@ -8,6 +8,12 @@ residual from a second head conditioned on a feature vector.
 
 Forward passes cache enough to run the exact analytic backward; the renderer
 drives both.
+
+Constants that no run varies bound the offsets: the norm of dx by
+MAX_DX_NORM (world units), the norm of the so(3) residual d_rot by
+MAX_DR_NORM (a half turn) and each log-scale offset by MAX_DS_ABS. The
+input-noise weight rises from NOISE_W_DELAY at iteration 0 to 1 along a
+quarter sine over the schedule's k_delay iterations.
 """
 from __future__ import annotations
 
@@ -22,6 +28,11 @@ OFFSET_DIM = 9  # dx(3) + d_rot(3) + d_scale(3)
 # Neighbor search (build_neighbor_table): query rows per block. The distance
 # temporary is KNN_BLOCK x (rows in the block's candidate box).
 KNN_BLOCK = 32
+
+MAX_DX_NORM = 3.0
+MAX_DR_NORM = np.pi
+MAX_DS_ABS = 5.0
+NOISE_W_DELAY = 0.2
 
 # The FieldParams arrays the optimizer updates: predictor, fine head, features.
 FIELD_PARAMS = ("w1", "b1", "w2", "b2", "fine_w1", "fine_b1", "fine_w2", "fine_b2",
@@ -61,19 +72,18 @@ def encode_coords_backward(x, bands, d_enc):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Annealed input noise: linear decay with a sine warm-up."""
+    """Annealed input noise: sigma_init decays linearly to 0 at k_max, with
+    a sine warm-up of its weight from NOISE_W_DELAY to 1 over k_delay."""
 
     sigma_init: float
-    sigma_final: float
     k_max: int
-    w_delay: float = 1.0
     k_delay: int = 0
 
     def sigma(self, k):
         frac = np.clip(k / max(self.k_max, 1), 0.0, 1.0)
-        base = self.sigma_init * (1.0 - frac) + self.sigma_final * frac
+        base = self.sigma_init * (1.0 - frac)
         if k < self.k_delay:
-            w = self.w_delay + (1.0 - self.w_delay) * np.sin(0.5 * np.pi * k / self.k_delay)
+            w = NOISE_W_DELAY + (1.0 - NOISE_W_DELAY) * np.sin(0.5 * np.pi * k / self.k_delay)
         else:
             w = 1.0
         return w * base
@@ -130,20 +140,14 @@ def init_field_params(rng, n_gaussians, hidden=64, time_bands=6, pos_bands=4,
 # offset heads: a ReLU MLP, then bounds on its offsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OffsetClamps:
-    max_dx_norm: float = 3.0
-    max_dr_norm: float = np.pi
-    max_ds_abs: float = 5.0
-
-
-def clamp_offsets(raw, clamps: OffsetClamps):
-    """Bound raw (N,9) offsets; returns (clamped, cache) for the backward."""
+def clamp_offsets(raw):
+    """Bound raw (N,9) offsets by MAX_DX_NORM, MAX_DR_NORM and MAX_DS_ABS;
+    returns (clamped, cache) for the backward."""
     dx, dr, ds = raw[:, 0:3], raw[:, 3:6], raw[:, 6:9]
-    dx_c, dx_cache = _clamp_norm(dx, clamps.max_dx_norm)
-    dr_c, dr_cache = _clamp_norm(dr, clamps.max_dr_norm)
-    ds_c = np.clip(ds, -clamps.max_ds_abs, clamps.max_ds_abs)
-    ds_mask = np.abs(ds) < clamps.max_ds_abs
+    dx_c, dx_cache = _clamp_norm(dx, MAX_DX_NORM)
+    dr_c, dr_cache = _clamp_norm(dr, MAX_DR_NORM)
+    ds_c = np.clip(ds, -MAX_DS_ABS, MAX_DS_ABS)
+    ds_mask = np.abs(ds) < MAX_DS_ABS
     out = np.concatenate([dx_c, dr_c, ds_c], axis=1)
     return out, (dx_cache, dr_cache, ds_mask)
 
@@ -177,7 +181,7 @@ def _clamp_norm_backward(cache, d_out):
     return d_v
 
 
-def offset_head(x, w1, b1, w2, b2, clamps: OffsetClamps, layer_name):
+def offset_head(x, w1, b1, w2, b2, layer_name):
     """Clamped (N,9) offsets of a one-hidden-layer ReLU MLP over input rows
     x; returns (offsets, cache) for offset_head_backward."""
     h_pre = x @ w1.T + b1
@@ -186,7 +190,7 @@ def offset_head(x, w1, b1, w2, b2, clamps: OffsetClamps, layer_name):
     bad = ~np.isfinite(raw).all(axis=1)
     if bad.any():
         raise NumericalError(f"{layer_name}: non-finite output in row {int(np.argmax(bad))}")
-    offsets, clamp_cache = clamp_offsets(raw, clamps)
+    offsets, clamp_cache = clamp_offsets(raw)
     return offsets, (x, h_pre, h, clamp_cache)
 
 
@@ -209,7 +213,7 @@ def offset_head_backward(cache, w1, w2, d_offsets):
 # ---------------------------------------------------------------------------
 
 def predict_offsets_batch(params: FieldParams, positions, quats, log_scales, t,
-                          noise_sigma, rng, clamps: OffsetClamps):
+                          noise_sigma, rng):
     """Predict clamped (N,9) offsets for all splats at time t.
 
     Noise perturbs the time encoding only, drawn per splat. Deterministic
@@ -226,7 +230,7 @@ def predict_offsets_batch(params: FieldParams, positions, quats, log_scales, t,
     enc_x = encode_coords(positions, params.pos_bands)
     inputs = np.concatenate([enc_x, quats, log_scales, gamma], axis=1)
     offsets, head = offset_head(inputs, params.w1, params.b1, params.w2, params.b2,
-                                clamps, "predictor")
+                                "predictor")
     return offsets, {"head": head, "positions": positions}
 
 
@@ -246,14 +250,14 @@ def predict_offsets_backward(params: FieldParams, cache, d_offsets):
     return d_w1, d_b1, d_w2, d_b2, d_positions, d_quats, d_log_scales
 
 
-def fine_offsets_batch(params: FieldParams, feature_rows, t, clamps: OffsetClamps):
+def fine_offsets_batch(params: FieldParams, feature_rows, t):
     """Fine residual offsets for the dynamic subset from its feature rows."""
     n = feature_rows.shape[0]
     enc_t = encode_coords([t], params.time_bands)
     inputs = np.concatenate([feature_rows,
                              np.broadcast_to(enc_t, (n, enc_t.size))], axis=1)
     return offset_head(inputs, params.fine_w1, params.fine_b1, params.fine_w2,
-                       params.fine_b2, clamps, "fine head")
+                       params.fine_b2, "fine head")
 
 
 def fine_offsets_backward(params: FieldParams, cache, d_offsets):

@@ -59,17 +59,19 @@ def inverse_sigmoid(p):
 # quaternions / SO(3)
 # ---------------------------------------------------------------------------
 
-def quat_normalize(q):
+def quat_normalize(q, return_norm=False):
+    """q / |q|, and with return_norm the norms |q| (..., 1) as well."""
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     if np.any(n < 1e-12):
         raise InvalidInputError("zero-norm quaternion")
-    return q / n
+    return (q / n, n) if return_norm else q / n
 
 
 def quat_to_rotmat(q):
-    """Convert (w,x,y,z) quaternions to rotation matrices (normalizing first)."""
-    q = quat_normalize(q)
+    """Rotation matrices of unit (w,x,y,z) quaternions; normalize with
+    quat_normalize first. On a non-unit q it evaluates the same polynomial,
+    which is then no rotation."""
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
     row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
@@ -132,7 +134,7 @@ def dexp_map_so3(omega, R, d_R):
 
 def drotmat_dquat(u, d_R):
     """The gradient wrt a unit (w, x, y, z) quaternion u of a loss with
-    gradient d_R wrt quat_to_rotmat's polynomial R(u), before normalization:
+    gradient d_R wrt R = quat_to_rotmat(u), a polynomial in u's components:
     (2 v.s, 2 w s + 2 S v - 4 tr(d_R) v) with v = (x, y, z),
     s = _axial(d_R) and S = d_R + d_R^T. The caller adds any other gradient
     wrt u and then applies the normalization's backward once."""

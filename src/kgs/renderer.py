@@ -50,7 +50,6 @@ import numpy as np
 from .decomposition import Partition
 from .deform import (
     FIELD_PARAMS,
-    OffsetClamps,
     coarse_offsets_backward,
     coarse_offsets_batch,
     fine_offsets_backward,
@@ -86,7 +85,7 @@ from .kinematics import (
     refine,
     refine_backward,
 )
-from .lod import LodConfig, min_scale_per_gaussian
+from .lod import min_scale_per_gaussian
 from .scene import SCENE_PARAMS
 
 # Splats per depth-ordered slice of a tile: the compositor's temporaries are
@@ -109,8 +108,7 @@ class RenderSettings:
     lambda_s: float = DEFAULT_LAMBDA_S
     refine_enabled: bool = True
     coarse_fine: bool = True
-    clamps: OffsetClamps = field(default_factory=OffsetClamps)
-    lod: LodConfig = field(default_factory=LodConfig)
+    l_max: int = 3              # LOD levels (lod.py)
 
 
 @dataclass
@@ -184,10 +182,10 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     _check_pose(n, scene.positions, scene.quaternions, scene.log_scales)
     dyn = partition.dynamic
     dyn_idx = partition.dynamic_indices
-    q_n = quat_normalize(scene.quaternions)
+    q_n, q_norm = quat_normalize(scene.quaternions, return_norm=True)
 
     raw, pred_cache = predict_offsets_batch(
-        fieldp, scene.positions, q_n, scene.log_scales, t, noise_sigma, rng, s.clamps)
+        fieldp, scene.positions, q_n, scene.log_scales, t, noise_sigma, rng)
     raw_dyn = raw[dyn_idx]
 
     fine_cache = None
@@ -196,7 +194,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             raise InvalidInputError("pose stage: coarse/fine deformation of the "
                                     "dynamic splats needs a neighbor_table")
         coarse = coarse_offsets_batch(raw_dyn, neighbor_table)
-        fine, fine_cache = fine_offsets_batch(fieldp, fieldp.features[dyn_idx], t, s.clamps)
+        fine, fine_cache = fine_offsets_batch(fieldp, fieldp.features[dyn_idx], t)
         eff_dyn = coarse + fine
     else:
         eff_dyn = raw_dyn
@@ -211,7 +209,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     E = exp_map_so3(dr_r)
     R_q = quat_to_rotmat(q_n)
     R_pred = R_q @ E
-    s_min = min_scale_per_gaussian(scene.levels, s.lod)[:, None]
+    s_min = min_scale_per_gaussian(scene.levels, s.l_max)[:, None]
     exp_term = np.exp(scene.log_scales + ds_r)
     s_pred = exp_term + s_min
     cov_pred = covariance_from_matrix(R_pred, s_pred)
@@ -247,7 +245,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
             "ridx": ridx, "basis": basis_cache, "refine": refine_cache,
             "cov_render": cov_render, "scales_render": scales_render, "colors_c": colors_c,
             "color_mask": color_mask, "opac": opac, "dt": dt,
-            "q_norm": np.linalg.norm(scene.quaternions, axis=1, keepdims=True),
+            "q_norm": q_norm,
             "cf_active": bool(s.coarse_fine and dyn_idx.size)}
 
 

@@ -23,7 +23,6 @@ from .deform import FIELD_PARAMS, FieldParams, NoiseSchedule, build_neighbor_tab
 from .gaussians import InvalidInputError, NumericalError, quat_normalize
 from .lod import (
     DensifyConfig,
-    LodConfig,
     advance_level,
     densify_candidates,
     level_survivors,
@@ -51,8 +50,7 @@ ROW_ENTRIES = {
     "log_scales": ((3,), "float64"), "opacity_logits": ((), "float64"),
     "colors": ((3,), "float64"), "levels": ((), "int64"), "importance": ((), "float64"),
     "features": ((None,), "float64"), "grad_accum": ((), "float64"),
-    "grad_count": ((), "float64"), "partition_scores": ((), "float64"),
-    "partition_dynamic": ((), "bool"),
+    "grad_count": ((), "float64"), "partition_dynamic": ((), "bool"),
 }
 
 
@@ -132,7 +130,7 @@ class TrainState:
         of copied scene rows. Scene, features, the Adam moments of
         ROW_PARAMS, the gradient statistics and the partition change
         together. Appended rows start with zero moments, statistics and
-        importance, and take their parent's partition label and score."""
+        importance, and take their parent's partition label."""
         if keep is not None:
             self.scene.select(keep)
             rows = fresh = lambda a: a[keep]
@@ -147,8 +145,7 @@ class TrainState:
             self.adam.v[name] = fresh(self.adam.v[name])
         self.grad_accum = fresh(self.grad_accum)
         self.grad_count = fresh(self.grad_count)
-        self.partition = Partition(dynamic=rows(self.partition.dynamic),
-                                   scores=rows(self.partition.scores))
+        self.partition = Partition(dynamic=rows(self.partition.dynamic))
 
 
 def param_arrays(scene: Scene, fieldp: FieldParams):
@@ -215,8 +212,7 @@ def rebuild_neighbors(state: TrainState, k):
         state.neighbor_table = None
 
 
-def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
-                      lod_cfg: LodConfig):
+def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig, l_max):
     """Standard split/clone densification plus low-opacity pruning; the
     global opacity reset fires at its own iteration regardless of window."""
     scene = state.scene
@@ -224,19 +220,18 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
     in_window = dcfg.window_start <= iteration <= dcfg.window_end
     if in_window and iteration % dcfg.interval == 0:
         split_mask, clone_mask = densify_candidates(scene, state.grad_accum,
-                                                    state.grad_count, dcfg, lod_cfg)
+                                                    state.grad_count, dcfg, l_max)
         split_idx = np.where(split_mask)[0]
         clone_idx = np.where(clone_mask)[0]
         # clones first: their rows precede the split children's
         if clone_idx.size:
             state.edit_rows(parents=clone_idx)
         if split_idx.size:
-            rep, positions, log_scales = split_parameters(scene, split_idx, dcfg,
-                                                          lod_cfg, state.rng)
+            rep, positions, log_scales = split_parameters(scene, split_idx, l_max, state.rng)
             state.edit_rows(parents=rep, positions=positions, log_scales=log_scales)
         changed = bool(clone_idx.size or split_idx.size)
         # drop split parents and anything too transparent
-        drop = prune_mask_low_opacity(scene.opacity_logits, dcfg.opacity_prune)
+        drop = prune_mask_low_opacity(scene.opacity_logits)
         if split_idx.size:
             drop[split_idx] = True
         if drop.any():
@@ -248,8 +243,7 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
         state.grad_accum[:] = 0.0
         state.grad_count[:] = 0.0
     if iteration == dcfg.reset_iteration:
-        scene.opacity_logits = opacity_reset_logits(scene.opacity_logits,
-                                                    dcfg.reset_value)
+        scene.opacity_logits = opacity_reset_logits(scene.opacity_logits)
         # the reset rewrites opacities wholesale; stale moments would undo it
         state.adam.m["opacity_logits"][:] = 0.0
         state.adam.v["opacity_logits"][:] = 0.0
@@ -257,16 +251,16 @@ def densify_and_prune(state: TrainState, iteration, dcfg: DensifyConfig,
     return changed
 
 
-def advance_scene_level(state: TrainState, lod_cfg: LodConfig):
+def advance_scene_level(state: TrainState, l_max):
     """Prune, then move the survivors a level finer; returns the clamp count."""
-    state.edit_rows(keep=level_survivors(state.scene, lod_cfg))
-    return advance_level(state.scene, lod_cfg)
+    state.edit_rows(keep=level_survivors(state.scene, l_max))
+    return advance_level(state.scene, l_max)
 
 
-def recompute_partition(state: TrainState, tau, n_samples, clamps):
+def recompute_partition(state: TrainState, tau, n_samples):
     scores = compute_scores(state.fieldp, state.scene.positions,
                             quat_normalize(state.scene.quaternions),
-                            state.scene.log_scales, clamps, n_samples)
+                            state.scene.log_scales, n_samples)
     state.partition = classify(scores, tau)
 
 
@@ -277,7 +271,6 @@ def recompute_partition(state: TrainState, tau, n_samples, clamps):
 def save_checkpoint(path, state: TrainState, config_dict: dict):
     arrays = {**state.scene.per_gaussian_arrays(), **dict(state.fieldp.param_items()),
               **state.adam.state_arrays()}
-    arrays["partition_scores"] = state.partition.scores
     arrays["partition_dynamic"] = state.partition.dynamic
     arrays["grad_accum"] = state.grad_accum
     arrays["grad_count"] = state.grad_count
@@ -330,8 +323,7 @@ def load_checkpoint(path):
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         state = TrainState(scene=scene, fieldp=fieldp,
-                           partition=Partition(dynamic=arrays["partition_dynamic"],
-                                               scores=arrays["partition_scores"]),
+                           partition=Partition(dynamic=arrays["partition_dynamic"]),
                            neighbor_table=arrays.get("neighbor_table"), adam=adam, rng=rng,
                            iteration=meta["iteration"], grad_accum=arrays["grad_accum"],
                            grad_count=arrays["grad_count"])
@@ -355,17 +347,17 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
     frames = dataset.train_frames()
     dt = dataset.frame_interval()
     total = iterations if iterations is not None else cfg.iterations
-    level_budget = max(cfg.iterations // settings.lod.l_max, 1)
+    level_budget = max(cfg.iterations // settings.l_max, 1)
 
     while state.iteration < total:
         k = state.iteration + 1
         t0 = time.perf_counter()
 
         current_level = int(state.scene.levels.max(initial=1))
-        if (current_level < settings.lod.l_max and k > 1
+        if (current_level < settings.l_max and k > 1
                 and (k - 1) % level_budget == 0
                 and (k - 1) // level_budget == current_level):
-            advance_scene_level(state, settings.lod)
+            advance_scene_level(state, settings.l_max)
             rebuild_neighbors(state, cfg.k_neighbors)
 
         sigma = schedule.sigma(k)
@@ -396,9 +388,9 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
         apply_step(state, grads, learning_rates(cfg, k))
         state.iteration = k
 
-        changed = densify_and_prune(state, k, dcfg, settings.lod)
+        changed = densify_and_prune(state, k, dcfg, settings.l_max)
         if evaluate_partition_schedule(k, cfg.decomp_warmup, cfg.decomp_repeat):
-            recompute_partition(state, cfg.decomp_tau, cfg.decomp_samples, settings.clamps)
+            recompute_partition(state, cfg.decomp_tau, cfg.decomp_samples)
             changed = True
         if changed or k % cfg.cf_refresh == 0:
             rebuild_neighbors(state, cfg.k_neighbors)

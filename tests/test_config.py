@@ -23,8 +23,8 @@ class TestRoundTrip:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_changed_values(self):
-        cfg = config_from_dict({"seed": 7, "kin.enabled": False, "clamp.dr": 1.5,
-                                "lod.rho": 0.25, "render.tile": 12,
+        cfg = config_from_dict({"seed": 7, "kin.enabled": False, "kin.kappa": -1.5,
+                                "lod.l_max": 2, "render.tile": 12,
                                 "render.background": [0.1, 0.2, 0.3]})
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert again == cfg
@@ -40,10 +40,8 @@ PERFBENCH_KEYS = {"hidden": "field.hidden", "time_bands": "field.time_bands",
                   "k_neighbors": "cf.k", "background": "render.background"}
 
 
-def other_value(value, name=None):
+def other_value(value):
     """A valid value of the same type that differs from value."""
-    if name == "noise_sigma_final":  # bounded above by noise.sigma_init (0.1)
-        return value + 0.0375
     if isinstance(value, bool):
         return not value
     if isinstance(value, tuple):
@@ -66,7 +64,7 @@ class TestRegistry:
         """Each field, set alone to another value, loads from its key and is
         written back under it."""
         for key, name in DOTTED_KEYS.items():
-            value = other_value(getattr(RunConfig(), name), name)
+            value = other_value(getattr(RunConfig(), name))
             flat = {key: list(value) if isinstance(value, tuple) else value}
             cfg = config_from_dict(flat)
             assert getattr(cfg, name) == value, key
@@ -75,7 +73,7 @@ class TestRegistry:
 
 
 # Every key the config accepted before keys were derived from field names,
-# with a non-default value; None marks the five settings deleted since.
+# with a non-default value; None marks the seventeen settings deleted since.
 EARLIER_KEYS = {
     "seed": 7, "iterations": 120, "batch": 3,
     "decomp.tau": 3e-6, "decomp.samples": 5, "decomp.warmup": 40, "decomp.repeat": 9,
@@ -84,15 +82,15 @@ EARLIER_KEYS = {
     "cf.enabled": False, "cf.k": 5, "cf.refresh": 11,
     "field.hidden": 24, "field.time_bands": 3, "field.pos_bands": 2,
     "field.feature_dim": 6, "field.noise_shared": None,
-    "clamp.dx": 1.5, "clamp.dr": 2.0, "clamp.ds": 4.0,
-    "noise.sigma_init": 0.2, "noise.sigma_final": 0.01, "noise.k_max": None,
-    "noise.w_delay": 0.5, "noise.k_delay": 7,
-    "lod.l_max": 4, "lod.lambda": 0.004, "lod.rho": 0.25, "lod.exponent_sign": None,
-    "lod.q_prune": 0.2,
+    "clamp.dx": None, "clamp.dr": None, "clamp.ds": None,
+    "noise.sigma_init": 0.2, "noise.sigma_final": None, "noise.k_max": None,
+    "noise.w_delay": None, "noise.k_delay": 7,
+    "lod.l_max": 4, "lod.lambda": None, "lod.rho": None, "lod.exponent_sign": None,
+    "lod.q_prune": None,
     "densify.grad_threshold": 2e-4, "densify.interval": 50, "densify.start": 20,
-    "densify.end": 900, "densify.opacity_prune": 0.01, "densify.reset_iteration": 77,
-    "densify.reset_value": 0.05, "densify.percent_dense": 0.02,
-    "densify.scene_extent": 2.5, "densify.max_gaussians": 5000,
+    "densify.end": 900, "densify.opacity_prune": None, "densify.reset_iteration": 77,
+    "densify.reset_value": None, "densify.percent_dense": None,
+    "densify.scene_extent": None, "densify.max_gaussians": 5000,
     "loss.lambda_dssim": 0.3, "loss.lambda_reg": 0.02, "loss.lambda_ani": 0.005,
     "loss.eps_ani": None,
     "lr.position": 1e-3, "lr.position_final": 1e-5, "lr.rotation": 2e-3,
@@ -108,7 +106,7 @@ class TestEarlierKeys:
     def test_the_earlier_key_list(self):
         assert len(EARLIER_KEYS) == 62
         kept = {k for k, v in EARLIER_KEYS.items() if v is not None}
-        assert len(kept) == 57 and set(DOTTED_KEYS) == kept
+        assert len(kept) == 45 and set(DOTTED_KEYS) == kept
 
     @pytest.mark.parametrize("key", [k for k, v in EARLIER_KEYS.items() if v is not None])
     def test_loads_to_the_same_value(self, key):
@@ -169,12 +167,6 @@ class TestRejects:
             load_config(path)
 
     @pytest.mark.parametrize("key,value", [
-        ("densify.reset_value", 1.5), ("densify.reset_value", 1.0),
-        ("densify.reset_value", 0.0), ("lod.rho", 1.5), ("lod.rho", 0.0),
-        ("lod.lambda", 0.0), ("lod.lambda", -0.002), ("noise.w_delay", 0.0),
-        ("noise.w_delay", 1.5), ("lod.q_prune", 1.5), ("lod.q_prune", -0.1),
-        ("clamp.dx", -1.0), ("clamp.dr", -0.5), ("clamp.ds", -2.0),
-        ("noise.sigma_final", -0.01), ("noise.sigma_final", 0.5),
         ("noise.sigma_init", -0.1), ("field.hidden", 0), ("field.hidden", -1),
         ("field.time_bands", 0), ("field.pos_bands", -1), ("field.feature_dim", -2),
         ("lod.l_max", 0), ("loss.lambda_dssim", 1.5), ("loss.lambda_dssim", -0.1),
@@ -185,35 +177,23 @@ class TestRejects:
         with pytest.raises(ConfigError, match=rf"^{key.replace('.', '[.]')} must be"):
             config_from_dict({key: value})
 
-    def test_sigma_final_bounded_by_sigma_init(self):
-        with pytest.raises(ConfigError, match=r"^noise\.sigma_final must be <= noise\.sigma_init"):
-            config_from_dict({"noise.sigma_init": 0.05, "noise.sigma_final": 0.06})
-        with pytest.raises(ConfigError, match=r"^noise\.sigma_final"):
-            config_from_dict({"noise.sigma_init": 0.01},
-                             base=RunConfig(noise_sigma_final=0.02))
-        cfg = config_from_dict({"noise.sigma_init": 0.05, "noise.sigma_final": 0.05})
-        assert cfg.noise_schedule().sigma(0) > 0
-
     @pytest.mark.parametrize("flat", [
-        {"densify.reset_value": 0.999, "lod.rho": 1e-9, "lod.lambda": 1e-12,
-         "noise.w_delay": 1.0, "lod.q_prune": 0.0, "clamp.dx": 0.0,
-         "clamp.dr": 0.0, "clamp.ds": 0.0, "noise.sigma_final": 0.0,
-         "field.hidden": 1, "field.time_bands": 1, "field.pos_bands": 0,
+        {"field.hidden": 1, "field.time_bands": 1, "field.pos_bands": 0,
          "field.feature_dim": 0, "lod.l_max": 1, "loss.lambda_dssim": 0.0,
          "loss.lambda_reg": 0.0, "loss.lambda_ani": 0.0},
-        {"lod.q_prune": 1.0, "noise.sigma_init": 0.0, "noise.sigma_final": 0.0,
-         "loss.lambda_dssim": 1.0},
+        {"noise.sigma_init": 0.0, "loss.lambda_dssim": 1.0},
     ], ids=["low_ends", "high_ends"])
     def test_range_ends_load_and_build(self, flat):
         """Closed ends load, every bundle builds from them, and both offset
         heads of a field built from them predict."""
         cfg = config_from_dict(flat)
-        settings, _, _ = cfg.render_settings(), cfg.densify(), cfg.noise_schedule()
+        for bundle in (cfg.render_settings, cfg.densify, cfg.noise_schedule):
+            bundle()
         fieldp = init_field_params(np.random.default_rng(0), 3, cfg.hidden, cfg.time_bands,
                                    cfg.pos_bands, cfg.feature_dim)
         x, q = np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
-        out, _ = predict_offsets_batch(fieldp, x, q, x, 0.5, 0.0, None, settings.clamps)
-        fine, _ = fine_offsets_batch(fieldp, fieldp.features, 0.5, settings.clamps)
+        out, _ = predict_offsets_batch(fieldp, x, q, x, 0.5, 0.0, None)
+        fine, _ = fine_offsets_batch(fieldp, fieldp.features, 0.5)
         assert out.shape == fine.shape == (3, 9)
 
     def test_zero_neighbors_allowed(self):

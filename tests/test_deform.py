@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kgs import deform
 from kgs.deform import (
     NoiseSchedule,
-    OffsetClamps,
     build_neighbor_table,
     clamp_offsets,
     clamp_offsets_backward,
@@ -21,8 +20,6 @@ from kgs.deform import (
     predict_offsets_batch,
 )
 from kgs.gaussians import InvalidInputError, NumericalError
-
-CLAMPS = OffsetClamps()
 
 
 def random_field(rng, n, nonzero_out=True, **kw):
@@ -78,14 +75,15 @@ class TestPositionalEncoding:
 
 
 class TestNoiseSchedule:
-    SCHED = NoiseSchedule(sigma_init=0.2, sigma_final=0.01, k_max=1000,
-                          w_delay=0.3, k_delay=100)
+    SCHED = NoiseSchedule(sigma_init=0.2, k_max=1000, k_delay=100)
 
     def test_endpoint(self):
-        assert self.SCHED.sigma(1000) == pytest.approx(0.01)
-        assert self.SCHED.sigma(5000) == pytest.approx(0.01)
+        assert self.SCHED.sigma(1000) == 0.0
+        assert self.SCHED.sigma(5000) == 0.0
 
-    def test_warmup_start(self):
+    def test_warmup_start(self, monkeypatch):
+        assert self.SCHED.sigma(0) == pytest.approx(0.2 * 0.2)
+        monkeypatch.setattr(deform, "NOISE_W_DELAY", 0.3)
         assert self.SCHED.sigma(0) == pytest.approx(0.3 * 0.2)
 
     def test_monotone_after_warmup(self):
@@ -93,7 +91,7 @@ class TestNoiseSchedule:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_no_warmup_variant(self):
-        sched = NoiseSchedule(sigma_init=0.1, sigma_final=0.0, k_max=10)
+        sched = NoiseSchedule(sigma_init=0.1, k_max=10)
         assert sched.sigma(0) == pytest.approx(0.1)
 
 
@@ -103,15 +101,15 @@ class TestPredictor:
         params = init_field_params(rng, 8)
         positions, quats, log_scales = random_inputs(rng, 8)
         out, _ = predict_offsets_batch(params, positions, quats, log_scales,
-                                       0.3, 0.0, None, CLAMPS)
+                                       0.3, 0.0, None)
         np.testing.assert_allclose(out, 0.0, atol=0)
 
     def test_deterministic_without_noise(self):
         rng = np.random.default_rng(3)
         params = random_field(rng, 8)
         positions, quats, log_scales = random_inputs(rng, 8)
-        a, _ = predict_offsets_batch(params, positions, quats, log_scales, 0.7, 0.0, None, CLAMPS)
-        b, _ = predict_offsets_batch(params, positions, quats, log_scales, 0.7, 0.0, None, CLAMPS)
+        a, _ = predict_offsets_batch(params, positions, quats, log_scales, 0.7, 0.0, None)
+        b, _ = predict_offsets_batch(params, positions, quats, log_scales, 0.7, 0.0, None)
         np.testing.assert_array_equal(a, b)
 
     def test_noise_deterministic_for_fixed_rng_state(self):
@@ -119,9 +117,9 @@ class TestPredictor:
         params = random_field(rng, 8)
         positions, quats, log_scales = random_inputs(rng, 8)
         a, _ = predict_offsets_batch(params, positions, quats, log_scales, 0.7,
-                                     0.05, np.random.default_rng(9), CLAMPS)
+                                     0.05, np.random.default_rng(9))
         b, _ = predict_offsets_batch(params, positions, quats, log_scales, 0.7,
-                                     0.05, np.random.default_rng(9), CLAMPS)
+                                     0.05, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_weight_gradient_matches_finite_differences(self):
@@ -132,10 +130,10 @@ class TestPredictor:
         d_out = rng.normal(size=(n, 9))
 
         def loss(p):
-            out, _ = predict_offsets_batch(p, positions, quats, log_scales, 0.4, 0.0, None, CLAMPS)
+            out, _ = predict_offsets_batch(p, positions, quats, log_scales, 0.4, 0.0, None)
             return np.sum(out * d_out)
 
-        _, cache = predict_offsets_batch(params, positions, quats, log_scales, 0.4, 0.0, None, CLAMPS)
+        _, cache = predict_offsets_batch(params, positions, quats, log_scales, 0.4, 0.0, None)
         d_w1, d_b1, d_w2, d_b2, d_pos, d_q, d_ls = predict_offsets_backward(params, cache, d_out)
         h = 1e-4
         checks = [(params.w1, d_w1, (3, 7)), (params.b1, d_b1, (11,)),
@@ -164,11 +162,13 @@ class TestPredictor:
 
 
 class TestClamps:
-    def test_clamp_active_and_backward(self):
+    def test_clamp_active_and_backward(self, monkeypatch):
         rng = np.random.default_rng(6)
         raw = rng.normal(0, 4.0, (20, 9))
-        clamps = OffsetClamps(max_dx_norm=1.0, max_dr_norm=0.5, max_ds_abs=1.5)
-        out, cache = clamp_offsets(raw, clamps)
+        monkeypatch.setattr(deform, "MAX_DX_NORM", 1.0)
+        monkeypatch.setattr(deform, "MAX_DR_NORM", 0.5)
+        monkeypatch.setattr(deform, "MAX_DS_ABS", 1.5)
+        out, cache = clamp_offsets(raw)
         assert np.all(np.linalg.norm(out[:, 0:3], axis=1) <= 1.0 + 1e-12)
         assert np.all(np.linalg.norm(out[:, 3:6], axis=1) <= 0.5 + 1e-12)
         assert np.all(np.abs(out[:, 6:9]) <= 1.5)
@@ -179,7 +179,7 @@ class TestClamps:
             rp, rm = raw.copy(), raw.copy()
             rp[idx] += h
             rm[idx] -= h
-            fd = np.sum((clamp_offsets(rp, clamps)[0] - clamp_offsets(rm, clamps)[0]) * d_out) / (2 * h)
+            fd = np.sum((clamp_offsets(rp)[0] - clamp_offsets(rm)[0]) * d_out) / (2 * h)
             assert abs(grad[idx] - fd) < 1e-5
 
 
@@ -187,15 +187,15 @@ class TestFineHead:
     def test_zero_init_zero_offsets(self):
         rng = np.random.default_rng(7)
         params = init_field_params(rng, 5)
-        out, _ = fine_offsets_batch(params, np.zeros((5, 16)), 0.2, CLAMPS)
+        out, _ = fine_offsets_batch(params, np.zeros((5, 16)), 0.2)
         np.testing.assert_allclose(out, 0.0, atol=0)
 
     def test_pure(self):
         rng = np.random.default_rng(8)
         params = random_field(rng, 5)
         f = rng.normal(size=(5, 16))
-        a, _ = fine_offsets_batch(params, f, 0.9, CLAMPS)
-        b, _ = fine_offsets_batch(params, f, 0.9, CLAMPS)
+        a, _ = fine_offsets_batch(params, f, 0.9)
+        b, _ = fine_offsets_batch(params, f, 0.9)
         np.testing.assert_array_equal(a, b)
 
     def test_feature_gradient(self):
@@ -203,15 +203,15 @@ class TestFineHead:
         params = random_field(rng, 5)
         f = rng.normal(0, 0.5, (5, 16))
         d_out = rng.normal(size=(5, 9))
-        _, cache = fine_offsets_batch(params, f, 0.6, CLAMPS)
+        _, cache = fine_offsets_batch(params, f, 0.6)
         _, _, _, _, d_f = fine_offsets_backward(params, cache, d_out)
         h = 1e-4
         for idx in [(0, 0), (2, 7), (4, 15)]:
             fp, fm = f.copy(), f.copy()
             fp[idx] += h
             fm[idx] -= h
-            up = np.sum(fine_offsets_batch(params, fp, 0.6, CLAMPS)[0] * d_out)
-            dn = np.sum(fine_offsets_batch(params, fm, 0.6, CLAMPS)[0] * d_out)
+            up = np.sum(fine_offsets_batch(params, fp, 0.6)[0] * d_out)
+            dn = np.sum(fine_offsets_batch(params, fm, 0.6)[0] * d_out)
             fd = (up - dn) / (2 * h)
             assert abs(d_f[idx] - fd) / max(abs(fd), 1e-8) < 1e-4
 
@@ -225,7 +225,7 @@ class TestNonFiniteOutput:
         positions, quats, log_scales = random_inputs(rng, 8)
         positions[[5, 7], 1] = np.nan
         with pytest.raises(NumericalError, match=r"^predictor: non-finite output in row 5$"):
-            predict_offsets_batch(params, positions, quats, log_scales, 0.3, 0.0, None, CLAMPS)
+            predict_offsets_batch(params, positions, quats, log_scales, 0.3, 0.0, None)
 
     def test_fine_head_names_row(self):
         rng = np.random.default_rng(11)
@@ -233,7 +233,7 @@ class TestNonFiniteOutput:
         f = rng.normal(size=(5, 16))
         f[3, 2] = np.nan
         with pytest.raises(NumericalError, match=r"^fine head: non-finite output in row 3$"):
-            fine_offsets_batch(params, f, 0.4, CLAMPS)
+            fine_offsets_batch(params, f, 0.4)
 
 
 class TestCoarseAggregation:

@@ -8,11 +8,13 @@ from kgs.gaussians import (
     COV2D_DILATION,
     Camera,
     covariance_from_matrix,
+    covariance_matrix_backward,
     dexp_map_so3,
     drotmat_dquat,
     exp_map_so3,
     project,
     project_backward,
+    quat_normalize,
     quat_to_rotmat,
     skew,
 )
@@ -77,8 +79,8 @@ def quat_polynomial_partials(u):
 
 
 def drotmat_dquat_jacobian(q):
-    """Oracle: dR/dq_m of quat_to_rotmat wrt a raw quaternion as a
-    (..., 4, 3, 3) tensor, the polynomial partials times the normalization
+    """Oracle: dR/dq_m of quat_to_rotmat(quat_normalize(q)) wrt a raw
+    quaternion q as a (..., 4, 3, 3) tensor, the polynomial partials times the normalization
     Jacobian (I - u u^T) / |q|."""
     n = np.linalg.norm(q, axis=-1, keepdims=True)
     u = q / n
@@ -110,11 +112,37 @@ class TestCovarianceFromRS:
 
     def test_symmetric_and_positive_definite(self):
         rng = np.random.default_rng(0)
-        q = rng.normal(size=(200, 4))
+        q = quat_normalize(rng.normal(size=(200, 4)))
         s = rng.uniform(1e-6, 3.0, (200, 3))
         cov = covariance_from_matrix(quat_to_rotmat(q), s)
         np.testing.assert_allclose(cov, np.swapaxes(cov, -1, -2), atol=0)
         assert np.linalg.eigvalsh(cov).min() > 0
+
+    def test_backward_matches_central_differences(self):
+        """covariance_matrix_backward against central differences of
+        <G, R diag(s)^2 R^T> in each entry of R and of s, over random
+        rotations and scales and a non-symmetric upstream gradient G."""
+        rng = np.random.default_rng(5)
+        R = quat_to_rotmat(quat_normalize(rng.normal(size=(50, 4))))
+        s = rng.uniform(0.05, 2.0, (50, 3))
+        G = rng.normal(size=(50, 3, 3))
+        assert np.abs(G - np.swapaxes(G, 1, 2)).max() > 0.1
+        d_R, d_s = covariance_matrix_backward(R, s, G)
+
+        def loss(R, s):     # per row: each row's loss reads only its own R and s
+            return np.sum(G * covariance_from_matrix(R, s), axis=(1, 2))
+
+        h = 1e-6
+        for i, j in np.ndindex(3, 3):
+            e = np.zeros((3, 3))
+            e[i, j] = h
+            fd = (loss(R + e, s) - loss(R - e, s)) / (2 * h)
+            np.testing.assert_allclose(d_R[:, i, j], fd, rtol=0, atol=1e-8)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            fd = (loss(R, s + e) - loss(R, s - e)) / (2 * h)
+            np.testing.assert_allclose(d_s[:, k], fd, rtol=0, atol=1e-8)
 
 
 class TestExpMap:
@@ -191,16 +219,16 @@ class TestQuaternions:
         np.testing.assert_array_equal(quat_to_rotmat(-q), quat_to_rotmat(q))
 
     def test_orthonormal(self):
-        """Non-unit quaternions are normalized first: R is a proper rotation."""
+        """A quaternion of any norm, normalized, gives a proper rotation."""
         q = np.random.default_rng(4).normal(size=(500, 4)) * 3.0
-        R = quat_to_rotmat(q)
+        R = quat_to_rotmat(quat_normalize(q))
         np.testing.assert_allclose(R @ np.swapaxes(R, 1, 2),
                                    np.broadcast_to(np.eye(3), R.shape), atol=1e-12)
         np.testing.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
 
     def test_vjp_matches_the_polynomial_partials(self):
         """At a unit quaternion the VJP is the contraction with the partials
-        of quat_to_rotmat's polynomial, before normalization."""
+        of quat_to_rotmat's polynomial."""
         rng = np.random.default_rng(11)
         u = rng.normal(size=(300, 4))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -229,7 +257,8 @@ class TestQuaternions:
         for m in range(4):
             e = np.zeros(4)
             e[m] = h
-            diff = quat_to_rotmat(q + e) - quat_to_rotmat(q - e)
+            diff = (quat_to_rotmat(quat_normalize(q + e))
+                    - quat_to_rotmat(quat_normalize(q - e)))
             fd[:, m] = np.sum(d_R * diff, axis=(1, 2)) / (2 * h)
         np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8 / norm)
 
@@ -271,7 +300,7 @@ class TestProjection:
         pp = np.array([cam.cx, cam.cy])
         for _ in range(20):
             pos = rng.normal(0, 0.5, 3) + np.array([0, 0, 4.0])
-            cov = covariance_from_matrix(quat_to_rotmat(rng.normal(size=4)),
+            cov = covariance_from_matrix(quat_to_rotmat(quat_normalize(rng.normal(size=4))),
                                          rng.uniform(0.05, 0.3, 3))
             m1, c1 = project_gaussian(cov, pos, cam)
             m2, c2 = project_gaussian(cov, pos, cam_rolled)

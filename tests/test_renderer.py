@@ -7,9 +7,9 @@ import pytest
 import hypothesis
 from hypothesis import strategies as st
 
-from kgs import renderer
+from kgs import deform, renderer
 from kgs.decomposition import classify
-from kgs.deform import OffsetClamps, build_neighbor_table, init_field_params
+from kgs.deform import build_neighbor_table, init_field_params
 from kgs.gaussians import (
     ALPHA_MAX,
     FOOTPRINT_CHI2,
@@ -338,7 +338,7 @@ def train_frame(scene, fieldp, partition, table, cam, settings=SETTINGS, dt=0.12
                   dt=dt, neighbor_table=table)
 
 
-def fd_case(case):
+def fd_case(case, monkeypatch):
     """deep_scene(4) set up so that render_backward takes one branch; with
     the settings and the frame interval."""
     scene, fieldp, partition, table, cam = deep_scene(4)
@@ -359,10 +359,10 @@ def fd_case(case):
         # each clamp halfway between the two middle dynamic predictor outputs
         raw = train_frame(scene, fieldp, partition, table, cam)[1].pose["raw"]
         raw = raw[partition.dynamic_indices]
-        settings = replace(SETTINGS, clamps=OffsetClamps(
-            max_dx_norm=halfway(np.linalg.norm(raw[:, 0:3], axis=1)),
-            max_dr_norm=halfway(np.linalg.norm(raw[:, 3:6], axis=1)),
-            max_ds_abs=halfway(np.abs(raw[:, 6:9]))))
+        for name, size in (("MAX_DX_NORM", np.linalg.norm(raw[:, 0:3], axis=1)),
+                           ("MAX_DR_NORM", np.linalg.norm(raw[:, 3:6], axis=1)),
+                           ("MAX_DS_ABS", np.abs(raw[:, 6:9]))):
+            monkeypatch.setattr(deform, name, halfway(size))
     elif case == "empty_tile":
         # the rightmost tiles lie past every splat's extent
         cam = replace(cam, width=64)
@@ -386,8 +386,8 @@ class TestBackward:
     @pytest.mark.parametrize("case", ["generic", "coarse_fine_off", "all_static",
                                       "below_velocity_floor", "behind_camera",
                                       "clamp_saturation", "empty_tile", "one_dynamic"])
-    def test_central_differences(self, case):
-        scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
+    def test_central_differences(self, case, monkeypatch):
+        scene, fieldp, partition, table, cam, settings, dt = fd_case(case, monkeypatch)
         frame, tape = train_frame(scene, fieldp, partition, table, cam, settings, dt)
         pose = tape.pose
         assert max(t.size for t in tape.tiles) > 2 * SLICE
@@ -426,12 +426,12 @@ class TestBackward:
         check_central_differences(params, analytic, loss, rng)
 
     @pytest.mark.parametrize("case", ["generic", "all_static", "below_velocity_floor"])
-    def test_regularizer_central_differences(self, case):
+    def test_regularizer_central_differences(self, case, monkeypatch):
         """The l_reg and l_ani gradients alone (d_image = 0), injected as
         frame_loss_and_grads does: l_reg reaches dynamic rows through the
         composed offsets and static rows through the raw ones, l_ani reaches
         refined and unrefined rows through their rendered scales."""
-        scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
+        scene, fieldp, partition, table, cam, settings, dt = fd_case(case, monkeypatch)
         lam_reg, lam_ani = 0.7, 0.3
 
         def regularized():
@@ -602,11 +602,11 @@ class TestPoseStage:
         render(scene, partition, fieldp, cam, 0.3, s, mode="train", dt=0.125)
 
     @pytest.mark.parametrize("case", ["generic", "all_static", "one_dynamic"])
-    def test_eval_pose_is_the_train_pose(self, case):
+    def test_eval_pose_is_the_train_pose(self, case, monkeypatch):
         """Without backward state the pose stage gives the train mode's
         positions and covariances at noise 0 and zero exposure, also with a
         single dynamic row."""
-        scene, fieldp, partition, table, cam, settings, dt = fd_case(case)
+        scene, fieldp, partition, table, cam, settings, dt = fd_case(case, monkeypatch)
         args = (scene, partition, fieldp, table, 0.3, dt, 0.0, 0.0, None, settings)
         train = renderer._pose_forward(*args)
         pose = renderer._pose_forward(*args, keep=False)
@@ -682,7 +682,7 @@ class TestDegenerateScenes:
 
         for head in (fieldp.w2, fieldp.b2, fieldp.fine_w2, fieldp.fine_b2):
             head[...] = 0.0
-        scene.levels[:] = SETTINGS.lod.l_max
+        scene.levels[:] = SETTINGS.l_max
         frame = render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="eval",
                        neighbor_table=table)
         cov3 = covariance_from_matrix(quat_to_rotmat(quat_normalize(scene.quaternions)),

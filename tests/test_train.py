@@ -111,11 +111,9 @@ class TestOneSplat:
         one-splat scene; its partition has one row, dynamic or static."""
         cfg = config_from_dict(CONFIG)
         state = initial_state(cfg, count=1)
-        clamps = cfg.render_settings().clamps
         state.fieldp.w2 = np.random.default_rng(2).normal(0.0, 0.1, state.fieldp.w2.shape)
         for tau, dynamic in ((0.0, True), (np.inf, False)):
-            recompute_partition(state, tau, cfg.decomp_samples, clamps)
-            assert state.partition.scores.shape == (1,) and state.partition.scores[0] > 0
+            recompute_partition(state, tau, cfg.decomp_samples)
             np.testing.assert_array_equal(state.partition.dynamic, [dynamic])
 
 
@@ -132,7 +130,7 @@ def state_arrays(state):
     out.update({f"field.{n}": a for n, a in state.fieldp.param_items()})
     out.update(state.adam.state_arrays())
     p = state.partition
-    out.update(dynamic=p.dynamic, dynamic_indices=p.dynamic_indices, scores=p.scores,
+    out.update(dynamic=p.dynamic, dynamic_indices=p.dynamic_indices,
                grad_accum=state.grad_accum, grad_count=state.grad_count,
                neighbor_table=state.neighbor_table)
     return out
@@ -170,6 +168,18 @@ class TestResume:
         write_checkpoint(path, arrays, {**meta, "clamp_warnings": 2})
         assert_resumes(path, uninterrupted, head_losses, 8)
 
+    def test_file_holding_partition_scores(self, tmp_path, uninterrupted):
+        """Version-2 files written while the partition kept its variance
+        scores hold one per splat; they load and resume alike."""
+        head, head_losses, _ = run(config_from_dict(RESUME_CONFIG), iterations=8)
+        path = tmp_path / "head.kgs"
+        save_checkpoint(path, head, RESUME_CONFIG)
+        arrays, meta = read_checkpoint(path)
+        assert "partition_scores" not in arrays
+        scores = np.random.default_rng(3).uniform(0.0, 1e-4, head.scene.n)
+        write_checkpoint(path, {**arrays, "partition_scores": scores}, meta)
+        assert_resumes(path, uninterrupted, head_losses, 8)
+
 
 def assert_resumes(path, uninterrupted, head_losses, k):
     """The checkpoint at path, saved after k iterations of RESUME_CONFIG,
@@ -198,7 +208,7 @@ def row_arrays(state):
     out.update({f"m.{n}": state.adam.m[n] for n in ROW_PARAMS})
     out.update({f"v.{n}": state.adam.v[n] for n in ROW_PARAMS})
     out.update(grad_accum=state.grad_accum, grad_count=state.grad_count,
-               dynamic=state.partition.dynamic, scores=state.partition.scores)
+               dynamic=state.partition.dynamic)
     return out
 
 
@@ -276,11 +286,11 @@ class TestRowEdit:
                     np.testing.assert_array_equal(
                         rows[m + name][kept], before[m + name][origin[kept]])
                     assert not rows[m + name][~kept].any()
-            for name in ("dynamic", "scores", "features", "scene.quaternions"):
+            for name in ("dynamic", "features", "scene.quaternions"):
                 np.testing.assert_array_equal(rows[name], before[name][origin])
             return origin, kept
 
-        assert densify_and_prune(state, 1, cfg.densify(), cfg.render_settings().lod)
+        assert densify_and_prune(state, 1, cfg.densify(), cfg.lod_l_max)
         origin, kept = check()
         # kept rows in order, then the clones, then two children per split
         cloned = np.delete(np.arange(10), 3)
@@ -291,7 +301,7 @@ class TestRowEdit:
 
         state.scene.importance = np.random.default_rng(5).uniform(size=state.scene.n)
         n = state.scene.n
-        advance_scene_level(state, cfg.render_settings().lod)
+        advance_scene_level(state, cfg.lod_l_max)
         assert state.scene.n == n - int(0.1 * n)
         assert np.all(state.scene.levels == 2)
         check()
@@ -332,7 +342,7 @@ class TestDensifyCap:
         state.grad_accum[[5, 20, 25]] = [3.0, 4.0, 5.0]
         state.grad_count[:] = 1.0
         before = state.scene.positions.copy()
-        assert densify_and_prune(state, 1, cfg.densify(), cfg.render_settings().lod)
+        assert densify_and_prune(state, 1, cfg.densify(), cfg.lod_l_max)
         assert state.scene.n == 33
         hits = (state.scene.positions[:, None] == before[None]).all(axis=2).sum(axis=0)
         want = np.ones(30, dtype=int)
@@ -342,7 +352,7 @@ class TestDensifyCap:
         state.grad_accum[:] = 1.0
         state.grad_count[:] = 1.0
         state.scene.opacity_logits[0] = -10.0
-        assert densify_and_prune(state, 2, cfg.densify(), cfg.render_settings().lod)
+        assert densify_and_prune(state, 2, cfg.densify(), cfg.lod_l_max)
         assert state.scene.n == 32
 
 
@@ -417,7 +427,7 @@ class TestCheckpoint:
         assert_rejected(path, f"missing entry {entry!r}")
 
     @pytest.mark.parametrize("entry", ["quaternions", "features", "adam_m_colors",
-                                       "grad_count", "partition_scores"])
+                                       "grad_count", "partition_dynamic"])
     def test_per_splat_row_count_checked(self, tmp_path, entry):
         path, arrays, meta = saved_checkpoint(tmp_path)
         n = arrays["positions"].shape[0]
