@@ -41,8 +41,6 @@ class RunConfig:
     decomp_warmup: int = 3000
     decomp_repeat: int = 2000
 
-    kin_kappa: float = -2.1972
-    kin_lambda_s: float = 0.1
     kin_enabled: bool = True
 
     cf_enabled: bool = True
@@ -96,7 +94,6 @@ class RunConfig:
         return RenderSettings(
             background=np.asarray(self.background, dtype=float),
             tile=self.render_tile,
-            kappa=self.kin_kappa, lambda_s=self.kin_lambda_s,
             refine_enabled=self.kin_enabled, coarse_fine=self.cf_enabled,
             l_max=self.lod_l_max)
 

@@ -1,17 +1,22 @@
 """Differentiable software rasterizer for the full pipeline.
 
-Forward: deform the dynamic set, gate on the partition, refine covariances
-against predicted velocities, project with the local affine pinhole
-Jacobian, bin each splat into exactly the pixel tiles (8 x 8 px by
-default) whose rectangle of pixel centres its footprint {q <= FOOTPRINT_CHI2}
+Forward: deform the dynamic set, gate on the partition, blur each dynamic
+covariance over the exposure, project with the local affine pinhole
+Jacobian, bin each splat into exactly the pixel tiles (8 x 8 px by default)
+whose rectangle of pixel centres its footprint {q <= FOOTPRINT_CHI2}
 reaches (a splat is "touched" when it is kept for some tile), and composite
 front-to-back per pixel. The backward pass is fully analytic and mirrors
 every stage. Binning takes the depth-ordered splats BIN_BLOCK at a time, so
 its candidate (tile, splat) arrays stay a block's size.
 
-An eval-mode render keeps no backward state: the pose stage drops the head
-and clamp caches once the offsets exist and builds none of the refinement
-or frame caches.
+The blur is the moment term of kinematics.py, (blur_dt^2 / 12) v v^T added
+to the predicted covariance, called under the names kinematic_frames_cached
+and kinematic_frames_backward, which are kept for tracing. The anisotropy
+term of the loss sees the predicted scales, so it does not penalize the
+blur. An eval-mode render has zero exposure, so the term adds exactly 0 and
+the predicted covariance is drawn as it is. It also keeps no backward
+state: the pose stage drops the head and clamp caches once the offsets
+exist.
 
 A tile is composited in depth-ordered slices of CHUNK (256) splats by one
 chunk step, which the forward and the backward pass share. The forward
@@ -76,15 +81,7 @@ from .gaussians import (
     quat_to_rotmat,
     sigmoid,
 )
-from .kinematics import (
-    DEFAULT_KAPPA,
-    DEFAULT_LAMBDA_S,
-    VELOCITY_FLOOR,
-    kinematic_frames_backward,
-    kinematic_frames_cached,
-    refine,
-    refine_backward,
-)
+from .kinematics import kinematic_frames_backward, kinematic_frames_cached
 from .lod import min_scale_per_gaussian
 from .scene import SCENE_PARAMS
 
@@ -104,8 +101,6 @@ _SCRATCH = threading.local()    # per-thread compositor workspace, see _views
 class RenderSettings:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
     tile: int = 8
-    kappa: float = DEFAULT_KAPPA
-    lambda_s: float = DEFAULT_LAMBDA_S
     refine_enabled: bool = True
     coarse_fine: bool = True
     l_max: int = 3              # LOD levels (lod.py)
@@ -160,7 +155,7 @@ class ParamGrads:
 
 
 # ---------------------------------------------------------------------------
-# pose stage: deformation, gating, refinement
+# pose stage: deformation, gating, motion blur
 # ---------------------------------------------------------------------------
 
 def _check_pose(n, *per_splat):
@@ -212,22 +207,15 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     s_min = min_scale_per_gaussian(scene.levels, s.l_max)[:, None]
     exp_term = np.exp(scene.log_scales + ds_r)
     s_pred = exp_term + s_min
-    cov_pred = covariance_from_matrix(R_pred, s_pred)
+    cov_render = covariance_from_matrix(R_pred, s_pred)
 
-    v = dx_r / dt
-    speed = np.linalg.norm(v, axis=1)
-    refined = s.refine_enabled & dyn & (speed >= VELOCITY_FLOOR)
-    ridx = np.where(refined)[0]
-
-    # the backward reads the covariances and scales from before refinement
-    cov_render = cov_pred.copy() if keep else cov_pred
-    scales_render = s_pred.copy() if keep else s_pred
-    basis_cache = refine_cache = None
-    if ridx.size:
-        U, basis_cache = kinematic_frames_cached(v[ridx])
-        cov_render[ridx], scales_render[ridx], refine_cache = refine(
-            U, cov_pred[ridx], R_pred[ridx, :, 2], E[ridx], speed[ridx],
-            ds_r[ridx], blur_dt, s.kappa, s.lambda_s)
+    # motion blur, the exposure's second moment, on every dynamic row; it
+    # adds exactly 0 at blur_dt = 0
+    kin_cache = None
+    if s.refine_enabled:
+        v = dx_r[dyn_idx] / dt
+        blur, kin_cache = kinematic_frames_cached(v, blur_dt)
+        cov_render[dyn_idx] += blur
 
     _check_pose(n, pos_t, cov_render)
 
@@ -240,10 +228,8 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     return {"n": n, "dyn": dyn, "dyn_idx": dyn_idx, "q_n": q_n, "raw": raw,
             "pred_cache": pred_cache, "fine_cache": fine_cache, "table": neighbor_table,
             "offsets": offsets, "pos_t": pos_t, "E": E, "R_q": R_q,
-            "R_pred": R_pred, "exp_term": exp_term, "s_pred": s_pred,
-            "refined": refined,
-            "ridx": ridx, "basis": basis_cache, "refine": refine_cache,
-            "cov_render": cov_render, "scales_render": scales_render, "colors_c": colors_c,
+            "R_pred": R_pred, "exp_term": exp_term, "s_pred": s_pred, "kin": kin_cache,
+            "cov_render": cov_render, "colors_c": colors_c,
             "color_mask": color_mask, "opac": opac, "dt": dt,
             "q_norm": q_norm,
             "cf_active": bool(s.coarse_fine and dyn_idx.size)}
@@ -253,46 +239,27 @@ def _pose_backward(pose, fieldp, d_pos_t, d_cov3, d_dx_extra, d_scales_extra):
     n = pose["n"]
     dyn = pose["dyn"]
     dyn_idx = pose["dyn_idx"]
-    ridx = pose["ridx"]
-    refined = pose["refined"]
     E = pose["E"]
 
     d_positions = d_pos_t.copy()
     d_dx_render = np.where(dyn[:, None], d_pos_t, 0.0)
-    d_ds_render = np.zeros((n, 3))
-    d_cov_pred = np.where(refined[:, None, None], 0.0, d_cov3)
-    d_s_pred = np.where(refined[:, None], 0.0, d_scales_extra)
-    d_Rpred = np.zeros((n, 3, 3))
-    d_E = np.zeros((n, 3, 3))
-    d_v = np.zeros((n, 3))
+    if pose["kin"] is not None:    # v = dx / dt
+        d_v = kinematic_frames_backward(pose["kin"], d_cov3[dyn_idx])
+        d_dx_render[dyn_idx] += d_v / pose["dt"]
 
-    if ridx.size:
-        d_cov_p, d_U, d_r_z, d_E_r, d_speed, d_ds = refine_backward(
-            pose["refine"], d_cov3[ridx], d_scales_extra[ridx])
-        d_cov_pred[ridx] += d_cov_p
-        d_Rpred[ridx, :, 2] += d_r_z
-        d_E[ridx] += d_E_r
-        d_ds_render[ridx] += d_ds
-        d_v[ridx] = kinematic_frames_backward(pose["basis"], d_U, d_speed)
-
-    # predicted (pre-refinement) covariance for every row
-    d_Rp, d_sp = covariance_matrix_backward(pose["R_pred"], pose["s_pred"], d_cov_pred)
-    d_Rpred += d_Rp
-    d_s_pred += d_sp
-    d_exp = d_s_pred * pose["exp_term"]
-    d_log_scales = d_exp.copy()
-    d_ds_render += d_exp
+    # predicted covariance for every row; the anisotropy term reads s_pred
+    d_Rpred, d_s_pred = covariance_matrix_backward(pose["R_pred"], pose["s_pred"], d_cov3)
+    d_s_pred += d_scales_extra
+    d_ds_render = d_s_pred * pose["exp_term"]
+    d_log_scales = d_ds_render.copy()
 
     # R_pred = R_q E
     d_Rq = d_Rpred @ np.swapaxes(E, -1, -2)
-    d_E += np.swapaxes(pose["R_q"], -1, -2) @ d_Rpred
+    d_E = np.swapaxes(pose["R_q"], -1, -2) @ d_Rpred
 
     # rotation residual (dynamic rows only; static rows held at zero)
     d_dr_render = np.zeros((n, 3))
     d_dr_render[dyn_idx] = dexp_map_so3(pose["offsets"][dyn_idx, 3:6], E[dyn_idx], d_E[dyn_idx])
-
-    # velocity path
-    d_dx_render += d_v / pose["dt"]
 
     # assemble gradients wrt the applied (composed) offsets
     d_eff = np.concatenate([d_dx_render, d_dr_render, d_ds_render], axis=1)[dyn_idx]
@@ -643,7 +610,7 @@ def render_backward(tape: RenderTape, d_image, fieldp, d_dx_extra,
 
     d_image is dLoss/dImage. The two (N, 3) extras are the loss's gradients
     wrt the applied position offsets (the offset regularizer) and the
-    rendered scales (the anisotropy term); pass zeros for a loss without
+    predicted scales (the anisotropy term); pass zeros for a loss without
     them.
     """
     if tape.pose is None:

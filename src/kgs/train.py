@@ -175,7 +175,7 @@ def frame_loss_and_grads(state: TrainState, cam, target, t, dt, noise_sigma,
     reg_val = reg_loss(dx_reg, dyn)
     d_dx_extra = reg_loss_backward(dx_reg, dyn, weights.lambda_reg)
 
-    scales = pose["scales_render"]
+    scales = pose["s_pred"]    # the predicted scales, before motion blur
     ani_val = ani_loss(scales)
     d_scales_extra = ani_loss_backward(scales, weights.lambda_ani)
 

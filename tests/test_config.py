@@ -23,7 +23,7 @@ class TestRoundTrip:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_changed_values(self):
-        cfg = config_from_dict({"seed": 7, "kin.enabled": False, "kin.kappa": -1.5,
+        cfg = config_from_dict({"seed": 7, "kin.enabled": False, "loss.lambda_reg": 0.02,
                                 "lod.l_max": 2, "render.tile": 12,
                                 "render.background": [0.1, 0.2, 0.3]})
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
@@ -73,11 +73,11 @@ class TestRegistry:
 
 
 # Every key the config accepted before keys were derived from field names,
-# with a non-default value; None marks the seventeen settings deleted since.
+# with a non-default value; None marks the nineteen settings deleted since.
 EARLIER_KEYS = {
     "seed": 7, "iterations": 120, "batch": 3,
     "decomp.tau": 3e-6, "decomp.samples": 5, "decomp.warmup": 40, "decomp.repeat": 9,
-    "kin.kappa": -1.5, "kin.lambda_s": 0.3, "kin.velocity_floor": None,
+    "kin.kappa": None, "kin.lambda_s": None, "kin.velocity_floor": None,
     "kin.enabled": False,
     "cf.enabled": False, "cf.k": 5, "cf.refresh": 11,
     "field.hidden": 24, "field.time_bands": 3, "field.pos_bands": 2,
@@ -106,7 +106,7 @@ class TestEarlierKeys:
     def test_the_earlier_key_list(self):
         assert len(EARLIER_KEYS) == 62
         kept = {k for k, v in EARLIER_KEYS.items() if v is not None}
-        assert len(kept) == 45 and set(DOTTED_KEYS) == kept
+        assert len(kept) == 43 and set(DOTTED_KEYS) == kept
 
     @pytest.mark.parametrize("key", [k for k, v in EARLIER_KEYS.items() if v is not None])
     def test_loads_to_the_same_value(self, key):
@@ -156,7 +156,7 @@ class TestRejects:
 
     @pytest.mark.parametrize("text,key", [
         ('{"decomp.tau": NaN}', "decomp.tau"),
-        ('{"kin.kappa": Infinity}', "kin.kappa"),
+        ('{"loss.lambda_reg": Infinity}', "loss.lambda_reg"),
         ('{"seed": -Infinity}', "seed"),
         ('{"render.tile": 0}', "render.tile"),
     ], ids=["nan", "infinity", "minus_infinity_for_int", "tile_zero"])

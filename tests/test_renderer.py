@@ -23,7 +23,6 @@ from kgs.gaussians import (
     quat_to_rotmat,
     sigmoid,
 )
-from kgs.kinematics import VELOCITY_FLOOR
 from kgs.losses import ani_loss, ani_loss_backward, reg_loss, reg_loss_backward
 from kgs.renderer import (
     RenderedFrame,
@@ -76,7 +75,7 @@ SETTINGS = RenderSettings(background=np.array([0.1, 0.2, 0.3]), tile=8)
 
 def render_points(positions, cov3, colors, opacities, cam, settings):
     """Composite bare world-space splats, with no deformation and no
-    refinement, through the tiled compositor: project, bin, raster."""
+    motion blur, through the tiled compositor: project, bin, raster."""
     proj = project(positions, cov3, cam)
     tiles, _ = _bin_tiles(proj, cam.width, cam.height, settings.tile)
     pose = {"opac": opacities, "colors_c": np.clip(colors, 0.0, 1.0)}
@@ -312,7 +311,7 @@ class TestKernel:
 def deep_scene(seed, n=N_DEEP, opacity=0.015):
     """Large low-opacity splats, all in every tile and inside each
     footprint at every pixel, so the objective is smooth; a dynamic
-    majority with non-zero heads, so refinement and coarse/fine run."""
+    majority with non-zero heads, so motion blur and coarse/fine run."""
     rng = np.random.default_rng(seed)
     positions = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)),
                                  rng.uniform(-0.5, 0.5, n)])
@@ -347,12 +346,11 @@ def fd_case(case, monkeypatch):
         settings = replace(SETTINGS, coarse_fine=False)
     elif case == "all_static":
         partition, table = classify(np.zeros(scene.n), 0.5), None
-    elif case == "below_velocity_floor":
-        # speed |dx| / dt crosses the floor halfway between the two middle
-        # dynamic offsets; the blur length, speed times dt, stays |dx|
-        offsets = train_frame(scene, fieldp, partition, table, cam)[1].pose["offsets"]
-        dx = np.linalg.norm(offsets[partition.dynamic_indices, :3], axis=1)
-        dt = halfway(dx) / VELOCITY_FLOOR
+    elif case == "long_blur":
+        # position offsets 20 times as large, so that the moment term is a
+        # tenth of the covariance on the dynamic rows, not 3e-4 of it
+        for head in (fieldp.w2, fieldp.b2, fieldp.fine_w2, fieldp.fine_b2):
+            head[0:3] *= 20.0
     elif case == "behind_camera":
         scene.positions[np.flatnonzero(~partition.dynamic)[0], 2] = -4.0
     elif case == "clamp_saturation":
@@ -384,7 +382,7 @@ def halfway(values):
 
 class TestBackward:
     @pytest.mark.parametrize("case", ["generic", "coarse_fine_off", "all_static",
-                                      "below_velocity_floor", "behind_camera",
+                                      "long_blur", "behind_camera",
                                       "clamp_saturation", "empty_tile", "one_dynamic"])
     def test_central_differences(self, case, monkeypatch):
         scene, fieldp, partition, table, cam, settings, dt = fd_case(case, monkeypatch)
@@ -394,12 +392,8 @@ class TestBackward:
         assert 0.0 < frame.image.min() and frame.image.max() < 1.0
         assert frame.transmittance.min() > TRANSMITTANCE_CUTOFF
         assert pose["cf_active"] == (case not in ("coarse_fine_off", "all_static"))
-        if case == "all_static":
-            assert pose["dyn_idx"].size == 0 and pose["ridx"].size == 0
-        elif case == "below_velocity_floor":
-            assert 0 < pose["ridx"].size < pose["dyn_idx"].size
-        else:
-            assert pose["ridx"].size == pose["dyn_idx"].size > 0
+        assert (pose["dyn_idx"].size == 0) == (case == "all_static")
+        assert_blur_share(pose, case)
         if case == "clamp_saturation":
             *_, ((*_, dx_over, _), (*_, dr_over, _), ds_free) = pose["pred_cache"]["head"]
             for hit in (dx_over, dr_over, ~ds_free):
@@ -425,12 +419,12 @@ class TestBackward:
 
         check_central_differences(params, analytic, loss, rng)
 
-    @pytest.mark.parametrize("case", ["generic", "all_static", "below_velocity_floor"])
+    @pytest.mark.parametrize("case", ["generic", "all_static", "long_blur"])
     def test_regularizer_central_differences(self, case, monkeypatch):
         """The l_reg and l_ani gradients alone (d_image = 0), injected as
         frame_loss_and_grads does: l_reg reaches dynamic rows through the
         composed offsets and static rows through the raw ones, l_ani reaches
-        refined and unrefined rows through their rendered scales."""
+        every row through its predicted scales, which the blur leaves out."""
         scene, fieldp, partition, table, cam, settings, dt = fd_case(case, monkeypatch)
         lam_reg, lam_ani = 0.7, 0.3
 
@@ -438,9 +432,10 @@ class TestBackward:
             frame, tape = train_frame(scene, fieldp, partition, table, cam, settings, dt)
             dyn = tape.pose["dyn"]
             dx = np.where(dyn[:, None], tape.pose["offsets"][:, 0:3], tape.pose["raw"][:, 0:3])
-            return frame, tape, dx, dyn, tape.pose["scales_render"]
+            return frame, tape, dx, dyn, tape.pose["s_pred"]
 
         frame, tape, dx, dyn, scales = regularized()
+        assert_blur_share(tape.pose, case)
         grads = render_backward(tape, np.zeros_like(frame.image), fieldp,
                                 reg_loss_backward(dx, dyn, lam_reg),
                                 ani_loss_backward(scales, lam_ani))
@@ -456,8 +451,25 @@ class TestBackward:
         check_central_differences(params, analytic, loss, np.random.default_rng(6))
 
 
+def assert_blur_share(pose, case):
+    """The moment term's share of the covariance trace, summed over the
+    dynamic rows: at least a tenth in the long_blur case, so that a wrong
+    backward of the term shows in the central differences; tiny, but not
+    0, in the others with dynamic rows."""
+    dyn_idx = pose["dyn_idx"]
+    if not dyn_idx.size:
+        return
+    cov_pred = covariance_from_matrix(pose["R_pred"], pose["s_pred"])[dyn_idx]
+    blur = np.trace(pose["cov_render"][dyn_idx] - cov_pred, axis1=1, axis2=2).sum()
+    share = blur / np.trace(cov_pred, axis1=1, axis2=2).sum()
+    if case == "long_blur":
+        assert share >= 0.1
+    else:
+        assert 0.0 < share < 1e-3
+
+
 def no_extras(tape):
-    """Zero gradients wrt the applied position offsets and the rendered
+    """Zero gradients wrt the applied position offsets and the predicted
     scales: render_backward's extras for a loss of the image alone."""
     return np.zeros((tape.n, 3)), np.zeros((tape.n, 3))
 
@@ -613,7 +625,6 @@ class TestPoseStage:
         assert set(pose) == {"pos_t", "cov_render", "opac", "colors_c"}
         for key in pose:
             np.testing.assert_array_equal(pose[key], train[key])
-        assert train["ridx"].size == partition.dynamic_indices.size
 
     @pytest.mark.parametrize("mode", ["Train", "test", None])
     def test_unknown_mode_rejected(self, mode):
@@ -634,7 +645,7 @@ DEGENERATE_KINDS = ["all_static", "one_dynamic", "coincident", "behind_camera"]
 
 def degenerate_scene(kind, n, seed):
     """n splats in front of deep_scene's camera (at z = -3), with non-zero
-    heads so that dynamic splats move and refine, of one kind: every splat
+    heads so that dynamic splats move and blur, of one kind: every splat
     static, one dynamic splat, every splat at one position, or some splats
     behind the camera."""
     rng = np.random.default_rng(seed)
