@@ -94,7 +94,7 @@ class RunConfig:
         return RenderSettings(
             background=np.asarray(self.background, dtype=float),
             tile=self.render_tile,
-            refine_enabled=self.kin_enabled, coarse_fine=self.cf_enabled,
+            kin_enabled=self.kin_enabled, coarse_fine=self.cf_enabled,
             l_max=self.lod_l_max)
 
     def densify(self) -> DensifyConfig:

@@ -194,6 +194,10 @@ class Camera:
             raise InvalidInputError("camera rotation must be orthonormal")
         if np.linalg.det(R) < 0:
             raise InvalidInputError("camera rotation must have det +1")
+        for name in ("width", "height"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size <= 0:
+                raise InvalidInputError(f"camera {name} must be a positive integer, not {size!r}")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidInputError("focal lengths must be > 0")
         if self.near <= 0:
@@ -252,7 +256,7 @@ def project(pos, cov3, cam: Camera):
     det = cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] ** 2
     conic = np.stack([cov2d[:, 1, 1] / det, -cov2d[:, 0, 1] / det,
                       cov2d[:, 0, 0] / det], axis=-1)
-    return {"p_cam": p_cam, "valid": valid, "J": J, "M": M, "cov2d": cov2d,
+    return {"p_cam": p_cam, "valid": valid, "M": M, "cov2d": cov2d,
             "mean2d": mean2d, "conic": conic, "depth": z, "cov3": cov3}
 
 

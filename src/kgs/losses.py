@@ -5,8 +5,8 @@ The photometric loss mixes mean absolute error with structural dissimilarity
 The window is separable and zero-padded, so it is a product with a banded
 (H, H) matrix on the left and a banded (W, W) one on the right. Offset and
 anisotropy regularizers keep static regions still and splat aspect ratios
-bounded. Every term has an exact analytic backward, validated against
-central differences in the tests.
+bounded; the latter is smooth where scales tie. Every term has an exact
+analytic backward, validated against central differences in the tests.
 """
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 PSNR_CLAMP_DB = 99.0
-# Keeps the anisotropy ratio finite for a vanishing smallest scale.
-EPS_ANI = 1e-6
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,27 +147,17 @@ def reg_loss_backward(dx, dynamic_mask, d_value=1.0):
 
 
 def ani_loss(scales):
-    """Mean aspect ratio max(s)/(min(s)+EPS_ANI) over splats."""
+    """Mean over splats of the variance of each row's log-scales: 0 for an
+    isotropic splat, and a ninth of the summed squared log aspect ratios of
+    the three axis pairs otherwise."""
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0):
         raise InvalidInputError("scales must be positive")
-    return float(np.mean(scales.max(axis=1) / (scales.min(axis=1) + EPS_ANI)))
+    return float(np.mean(np.var(np.log(scales), axis=1)))
 
 
 def ani_loss_backward(scales, d_value=1.0):
+    """(2 / (3 n)) (log s - mean log s) / s per entry, for n rows of 3."""
     scales = np.asarray(scales, dtype=float)
-    n = scales.shape[0]
-    i_max = scales.argmax(axis=1)
-    i_min = scales.argmin(axis=1)
-    smax = scales[np.arange(n), i_max]
-    smin = scales[np.arange(n), i_min]
-    grad = np.zeros_like(scales)
-    denom = smin + EPS_ANI
-    same = i_max == i_min
-    grad[np.arange(n), i_max] += d_value / (n * denom)
-    grad[np.arange(n), i_min] -= d_value * smax / (n * denom**2)
-    if same.any():
-        # isotropic splat: ratio is s/(s+eps), one combined derivative
-        rows = np.where(same)[0]
-        grad[rows, i_max[rows]] = d_value * EPS_ANI / (n * denom[rows] ** 2)
-    return grad
+    log_s = np.log(scales)
+    return (2.0 * d_value / scales.size) * (log_s - log_s.mean(axis=1, keepdims=True)) / scales

@@ -101,7 +101,7 @@ _SCRATCH = threading.local()    # per-thread compositor workspace, see _views
 class RenderSettings:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
     tile: int = 8
-    refine_enabled: bool = True
+    kin_enabled: bool = True
     coarse_fine: bool = True
     l_max: int = 3              # LOD levels (lod.py)
 
@@ -166,6 +166,18 @@ def _check_pose(n, *per_splat):
                              f"splat {int(np.argmax(bad))}")
 
 
+def _check_table(table, m):
+    """Raise unless the neighbor table has one row of integers per dynamic
+    splat, each holding indices in [0, m)."""
+    if table.ndim != 2 or table.shape[0] != m or table.dtype.kind not in "iu":
+        raise InvalidInputError(f"pose stage: neighbor_table of shape {table.shape} and "
+                                f"dtype {table.dtype} is not {m} rows of integers")
+    bad = ((table < 0) | (table >= m)).any(axis=1)
+    if bad.any():
+        raise InvalidInputError(f"pose stage: neighbor_table row {int(np.argmax(bad))} "
+                                f"holds an index outside [0, {m})")
+
+
 def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
                   blur_dt, noise_sigma, rng, s: RenderSettings, keep=True):
     """Deformed positions and rendered covariances, with opacities and
@@ -188,6 +200,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
         if neighbor_table is None:
             raise InvalidInputError("pose stage: coarse/fine deformation of the "
                                     "dynamic splats needs a neighbor_table")
+        _check_table(neighbor_table, dyn_idx.size)
         coarse = coarse_offsets_batch(raw_dyn, neighbor_table)
         fine, fine_cache = fine_offsets_batch(fieldp, fieldp.features[dyn_idx], t)
         eff_dyn = coarse + fine
@@ -212,7 +225,7 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     # motion blur, the exposure's second moment, on every dynamic row; it
     # adds exactly 0 at blur_dt = 0
     kin_cache = None
-    if s.refine_enabled:
+    if s.kin_enabled:
         v = dx_r[dyn_idx] / dt
         blur, kin_cache = kinematic_frames_cached(v, blur_dt)
         cov_render[dyn_idx] += blur

@@ -292,7 +292,8 @@ def load_checkpoint(path):
     file and the entry, when an entry is missing, when a per-splat array's
     row count differs from positions', or when the neighbor table's differs
     from the number of dynamic splats, or when such an entry's dtype or
-    trailing shape differs from what save_checkpoint writes."""
+    trailing shape differs from what save_checkpoint writes, or when the
+    table holds an index outside [0, number of dynamic splats)."""
     arrays, meta = read_checkpoint(path)
     try:
         layout = {**ROW_ENTRIES,
@@ -315,6 +316,10 @@ def load_checkpoint(path):
             if entry.dtype != dtype:
                 raise InvalidInputError(f"checkpoint {path}: entry {name!r} has dtype "
                                         f"{entry.dtype}, not {dtype}")
+        table = arrays.get("neighbor_table")
+        if table is not None and ((table < 0) | (table >= table.shape[0])).any():
+            raise InvalidInputError(f"checkpoint {path}: entry 'neighbor_table' holds an "
+                                    f"index outside [0, {table.shape[0]})")
         scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
         fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
         adam = make_adam(scene, fieldp)
@@ -324,7 +329,7 @@ def load_checkpoint(path):
         rng.bit_generator.state = meta["rng_state"]
         state = TrainState(scene=scene, fieldp=fieldp,
                            partition=Partition(dynamic=arrays["partition_dynamic"]),
-                           neighbor_table=arrays.get("neighbor_table"), adam=adam, rng=rng,
+                           neighbor_table=table, adam=adam, rng=rng,
                            iteration=meta["iteration"], grad_accum=arrays["grad_accum"],
                            grad_count=arrays["grad_count"])
     except KeyError as err:
@@ -345,6 +350,8 @@ def train_loop(state: TrainState, dataset, cfg, settings: RenderSettings,
     `iterations` only says where to stop; every schedule follows
     cfg.iterations, so a run stopped early is a prefix of the full run."""
     frames = dataset.train_frames()
+    if not frames:
+        raise InvalidInputError("train_loop: the dataset has no train frames")
     dt = dataset.frame_interval()
     total = iterations if iterations is not None else cfg.iterations
     level_budget = max(cfg.iterations // settings.l_max, 1)

@@ -7,6 +7,7 @@ from kgs.gaussians import (
     ALPHA_MAX,
     COV2D_DILATION,
     Camera,
+    InvalidInputError,
     covariance_from_matrix,
     covariance_matrix_backward,
     dexp_map_so3,
@@ -261,6 +262,19 @@ class TestQuaternions:
                     - quat_to_rotmat(quat_normalize(q - e)))
             fd[:, m] = np.sum(d_R * diff, axis=(1, 2)) / (2 * h)
         np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8 / norm)
+
+
+class TestCamera:
+    @pytest.mark.parametrize("size", [0, -8, 16.0, True, np.int64(0)])
+    def test_bad_image_size_rejected(self, size):
+        """At construction, not at the first render."""
+        for name in ("w", "h"):
+            with pytest.raises(InvalidInputError, match="must be a positive integer"):
+                make_camera(**{name: size})
+
+    def test_numpy_integer_size_accepted(self):
+        cam = make_camera(w=np.int64(16), h=np.int32(8))
+        assert (cam.width, cam.height) == (16, 8)
 
 
 class TestProjection:

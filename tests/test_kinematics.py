@@ -127,7 +127,7 @@ class TestPoseBlur:
         for head in (fieldp.w2, fieldp.b2, fieldp.fine_w2, fieldp.fine_b2):
             head[...] = rng.normal(0.0, 0.3, head.shape)
         table = build_neighbor_table(scene.positions[partition.dynamic_indices], 3)
-        p = pose(scene, fieldp, partition, DT, RenderSettings(refine_enabled=kin), table)
+        p = pose(scene, fieldp, partition, DT, RenderSettings(kin_enabled=kin), table)
         cov_pred = covariance_from_matrix(p["R_pred"], p["s_pred"])
         dyn = partition.dynamic
         v = p["offsets"][dyn, 0:3] / DT

@@ -3,7 +3,6 @@ import pytest
 
 from kgs.gaussians import InvalidInputError
 from kgs.losses import (
-    EPS_ANI,
     SSIM_SIGMA,
     SSIM_WINDOW,
     _blur,
@@ -222,28 +221,42 @@ class TestRegLoss:
 
 
 class TestAniLoss:
-    def test_isotropic_near_one(self):
-        s = np.full((5, 3), 0.7)
-        assert ani_loss(s) == pytest.approx(0.7 / (0.7 + EPS_ANI), rel=1e-15)
+    def test_isotropic_is_zero(self):
+        assert ani_loss(np.full((5, 3), 0.7)) == 0.0
 
-    def test_aspect_four(self):
-        s = np.array([[4.0, 1.0, 1.0]])
-        assert ani_loss(s) == pytest.approx(4.0 / (1.0 + EPS_ANI), rel=1e-15)
+    def test_value(self):
+        """The log-scales of (4, 1, 1) are (l, 0, 0) with l = log 4: mean l/3,
+        variance 2 l^2 / 9. Averaged with an isotropic row."""
+        s = np.array([[4.0, 1.0, 1.0], [0.3, 0.3, 0.3]])
+        assert ani_loss(s) == pytest.approx(np.log(4.0) ** 2 / 9.0, rel=1e-14)
 
-    def test_scale_invariance_up_to_eps(self):
+    def test_scale_invariant(self):
         rng = np.random.default_rng(10)
         s = rng.uniform(0.5, 2.0, (20, 3))
-        a = ani_loss(s)
-        b = ani_loss(10 * s)
-        exact = np.mean(s.max(axis=1) / s.min(axis=1))
-        assert abs(a - exact) < 1e-5
-        assert abs(b - exact) < 1e-6
+        assert ani_loss(10 * s) == pytest.approx(ani_loss(s), rel=1e-12)
 
     def test_permutation_invariant(self):
+        """Neither the order of the splats nor that of a splat's axes counts."""
         rng = np.random.default_rng(11)
         s = rng.uniform(0.1, 3.0, (25, 3))
         perm = rng.permutation(25)
         assert ani_loss(s) == pytest.approx(ani_loss(s[perm]))
+        assert ani_loss(s) == pytest.approx(ani_loss(s[:, [2, 0, 1]]))
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0, 0.5], [2.0, 0.5, 0.5], [0.7, 0.7, 0.7]],
+                             ids=["tie_for_largest", "tie_for_smallest", "isotropic"])
+    def test_backward_at_ties(self, row):
+        """Where scales tie for largest or smallest, as at the training start,
+        where every splat is isotropic."""
+        s = np.array([row])
+        grad = ani_loss_backward(s, 0.5)
+        h = 1e-6
+        for j in range(3):
+            sp, sm = s.copy(), s.copy()
+            sp[0, j] += h
+            sm[0, j] -= h
+            fd = 0.5 * (ani_loss(sp) - ani_loss(sm)) / (2 * h)
+            assert abs(grad[0, j] - fd) < 1e-8, (j, grad[0, j], fd)
 
     def test_backward(self):
         rng = np.random.default_rng(12)

@@ -364,6 +364,13 @@ def fd_case(case, monkeypatch):
     elif case == "empty_tile":
         # the rightmost tiles lie past every splat's extent
         cam = replace(cam, width=64)
+    elif case == "training_start":
+        # as random_scene starts training: every splat isotropic, and no
+        # predicted rotation or scale offsets, so every predicted row is a
+        # three-way tie of its scales
+        scene.log_scales[:] = scene.log_scales[:, :1]
+        for head in (fieldp.w2, fieldp.b2, fieldp.fine_w2, fieldp.fine_b2):
+            head[3:9] = 0.0
     elif case == "one_dynamic":
         only = partition.dynamic_indices[:1]
         mask = np.zeros(scene.n)
@@ -419,7 +426,8 @@ class TestBackward:
 
         check_central_differences(params, analytic, loss, rng)
 
-    @pytest.mark.parametrize("case", ["generic", "all_static", "long_blur"])
+    @pytest.mark.parametrize("case", ["generic", "all_static", "long_blur",
+                                      "training_start"])
     def test_regularizer_central_differences(self, case, monkeypatch):
         """The l_reg and l_ani gradients alone (d_image = 0), injected as
         frame_loss_and_grads does: l_reg reaches dynamic rows through the
@@ -612,6 +620,28 @@ class TestPoseStage:
             render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train", dt=0.125)
         s = RenderSettings(background=SETTINGS.background, tile=8, coarse_fine=False)
         render(scene, partition, fieldp, cam, 0.3, s, mode="train", dt=0.125)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad", ["minus_one", "past_end", "five_rows_short", "float"])
+    def test_bad_neighbor_table_rejected(self, mode, bad):
+        """A table entry outside [0, m) for m dynamic splats, or a table
+        without one row of integers per dynamic splat, is rejected in both
+        modes; an entry of -1 would otherwise pick the last dynamic splat."""
+        scene, fieldp, partition, table, cam = deep_scene(10, n=40)
+        m = partition.dynamic_indices.size
+        table = table.copy()
+        if bad == "five_rows_short":
+            table = table[:-5]
+            detail = rf"of shape \({m - 5}, 4\) and dtype int64 is not {m} rows"
+        elif bad == "float":
+            table = table.astype(float)
+            detail = rf"of shape \({m}, 4\) and dtype float64 is not {m} rows of integers"
+        else:
+            table[3, 2] = -1 if bad == "minus_one" else m
+            detail = rf"row 3 holds an index outside \[0, {m}\)"
+        with pytest.raises(InvalidInputError, match=r"^pose stage: neighbor_table " + detail):
+            render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode=mode, dt=0.125,
+                   neighbor_table=table)
 
     @pytest.mark.parametrize("case", ["generic", "all_static", "one_dynamic"])
     def test_eval_pose_is_the_train_pose(self, case, monkeypatch):

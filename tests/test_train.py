@@ -14,6 +14,7 @@ from kgs.train import (
     ROW_PARAMS,
     TrainState,
     advance_scene_level,
+    apply_step,
     densify_and_prune,
     frame_loss_and_grads,
     learning_rates,
@@ -103,6 +104,43 @@ class TestErrors:
         state.scene.log_scales[7, 1] = np.nan
         with pytest.raises(NumericalError, match=r"^iteration 1: pose stage: .*splat 7$"):
             run(cfg, iterations=2, state=state)
+
+    def test_dataset_without_train_frames_rejected(self):
+        class NoFrames(Clip):
+            def train_frames(self):
+                return []
+
+        cfg = config_from_dict(CONFIG)
+        with pytest.raises(InvalidInputError, match="^train_loop: the dataset has no train"):
+            train_loop(initial_state(cfg), NoFrames(), cfg, cfg.render_settings(),
+                       cfg.loss_weights(), cfg.densify(), cfg.noise_schedule(), [])
+
+
+class TestBatch:
+    def test_batch_two_is_the_mean_of_two_frames(self):
+        """The default batch of 2: the logged loss and the densify statistics
+        are the means of the two frames', and the step takes the mean of
+        their gradients, summed and then halved as the loop does."""
+        cfg = config_from_dict({**CONFIG, "batch": 2, "noise.sigma_init": 0.0})
+        state, ref = initial_state(cfg), initial_state(cfg)
+        rows = []
+        train_loop(state, Clip(), cfg, cfg.render_settings(), cfg.loss_weights(),
+                   cfg.densify(), cfg.noise_schedule(), rows, iterations=1)
+        frames = Clip().train_frames()
+        picks = ref.rng.choice(len(frames), size=2, replace=False)
+        (t1, g1, _), (t2, g2, _) = (
+            frame_loss_and_grads(ref, *frames[j], Clip().frame_interval(), 0.0,
+                                 cfg.render_settings(), cfg.loss_weights()) for j in picks)
+        assert rows[0]["loss"] == (t1["loss"] + t2["loss"]) / 2
+        np.testing.assert_array_equal(state.grad_accum,
+                                      (g1.densify_norm + g2.densify_norm) / 2)
+        for name, g in g1.grads.items():
+            g[...] = (g + g2.grads[name]) * 0.5
+        apply_step(ref, g1, learning_rates(cfg, 1))
+        assert state.scene.n == ref.scene.n
+        got, want = param_arrays(state.scene, state.fieldp), param_arrays(ref.scene, ref.fieldp)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(got[name], arr, err_msg=name)
 
 
 class TestOneSplat:
@@ -456,6 +494,16 @@ class TestCheckpoint:
         write_checkpoint(path, arrays, meta)
         assert_rejected(path, f"entry 'neighbor_table' has shape {table[:-1].shape}, "
                               f"not {table.shape[0]} rows")
+
+    @pytest.mark.parametrize("index", [-3, 10**6])
+    def test_neighbor_table_range_checked(self, tmp_path, index):
+        """Every entry indexes a dynamic splat."""
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        table = arrays["neighbor_table"].copy()
+        table[2, 1] = index
+        write_checkpoint(path, {**arrays, "neighbor_table": table}, meta)
+        assert_rejected(path, "entry 'neighbor_table' holds an index outside "
+                              f"[0, {table.shape[0]})")
 
     def test_header_without_meta_rejected(self, tmp_path):
         path = tmp_path / "bare.kgs"
