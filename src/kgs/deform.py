@@ -26,7 +26,7 @@ from .gaussians import InvalidInputError, NumericalError
 OFFSET_DIM = 9  # dx(3) + d_rot(3) + d_scale(3)
 
 # Neighbor search (build_neighbor_table): query rows per block. The distance
-# temporary is KNN_BLOCK x (rows in the block's candidate box).
+# temporary is KNN_BLOCK x (rows in the block's slab along the sweep axis).
 KNN_BLOCK = 32
 
 MAX_DX_NORM = 3.0
@@ -281,15 +281,14 @@ def build_neighbor_table(positions, k):
     is the one column arange(N), and the neighborhood mean of a row is the
     row itself.
 
-    Rows are ordered by a uniform grid cell and taken KNN_BLOCK at a time, so
-    each query block is spatially compact. A block's candidates are the rows
-    inside its bounding box grown by r, found from an x-sorted slab and a y/z
-    mask; r starts at twice the k-th neighbor radius that the mean density
-    predicts. The block is exact when every query's k-th candidate squared
-    distance is below its squared margin to the box faces: every row outside
-    the box is then farther than its k-th neighbor. Otherwise r grows to
-    cover each query's k-th candidate distance (at least 1.5x) and the block
-    is searched again.
+    Rows are sorted along their widest axis and taken KNN_BLOCK at a time.
+    A block's candidates are the slab of rows within r of it along that
+    axis; r starts at the mean row spacing along the axis, carries over from
+    block to block, and doubles until every query's k-th candidate squared
+    distance is below its squared margin to the nearest row outside the slab
+    (every row outside is at least that far along the axis alone, and
+    rounding keeps the order of the summed distances), or until the slab
+    holds every row.
     """
     positions = np.asarray(positions, dtype=float)
     bad = ~np.isfinite(positions).all(axis=1)
@@ -299,66 +298,40 @@ def build_neighbor_table(positions, k):
     if n <= 1 or k == 0:
         return np.arange(n)[:, None]
     k_eff = min(k, n - 1)
-    lo, hi = positions.min(axis=0), positions.max(axis=0)
-    extent = hi - lo
-    live = extent > 0  # an axis on which every row agrees bounds no search
-    dims = max(int(live.sum()), 1)
-    # edge of the cube (square, segment) that one row fills at the mean density
-    spacing = float(np.exp((np.log(extent[live]).sum() - np.log(n)) / dims))
-    r0 = 1.25 * spacing * k_eff ** (1.0 / dims)  # about twice the k-th neighbor radius
-
-    # grid cells of about KNN_BLOCK rows, at most n per axis
-    cell = max(spacing * KNN_BLOCK ** (1.0 / dims), float(extent.max()) / n)
-    cells = ((positions - lo) / cell).astype(np.intp)
-    ny, nz = cells[:, 1].max() + 1, cells[:, 2].max() + 1
-    order = np.argsort((cells[:, 0] * ny + cells[:, 1]) * nz + cells[:, 2], kind="stable")
-    pos = positions[order]
-    starts = np.arange(0, n, KNN_BLOCK)
-    block_lo = np.minimum.reduceat(pos, starts, axis=0)
-    block_hi = np.maximum.reduceat(pos, starts, axis=0)
-    cols = np.ascontiguousarray(positions.T)
-    by_x = np.argsort(cols[0], kind="stable")
-    xs, ys, zs = cols[:, by_x]
+    axis = int(np.argmax(np.ptp(positions, axis=0)))
+    order = np.argsort(positions[:, axis], kind="stable")
+    cols = np.ascontiguousarray(positions[order].T)
+    key = cols[axis]
+    r = float(key[-1] - key[0]) / n
     table = np.empty((n, k_eff), dtype=int)
-    for i, start in enumerate(starts):
+    for start in range(0, n, KNN_BLOCK):
         stop = min(start + KNN_BLOCK, n)
-        q, rows = pos[start:stop], order[start:stop]
-        r = r0
+        q, qkey = cols[:, start:stop, None], key[start:stop]
         while True:
-            b_lo, b_hi = block_lo[i] - r, block_hi[i] + r
-            a0 = np.searchsorted(xs, b_lo[0], "left")
-            a1 = np.searchsorted(xs, b_hi[0], "right")
-            sy, sz = ys[a0:a1], zs[a0:a1]
-            keep = np.flatnonzero((sy >= b_lo[1]) & (sy <= b_hi[1])
-                                  & (sz >= b_lo[2]) & (sz <= b_hi[2]))
-            cand = np.sort(by_x[a0 + keep])  # index order, like the columns of all rows
-            if cand.size > k_eff:
-                cc = cols[:, cand]
-                d2 = np.square(q[:, 0, None] - cc[0])
-                for axis in (1, 2):
-                    d2 += np.square(q[:, axis, None] - cc[axis])
+            a0 = int(np.searchsorted(key, key[start] - r, "left"))
+            a1 = int(np.searchsorted(key, key[stop - 1] + r, "right"))
+            if a1 - a0 > k_eff:
+                d2 = np.square(q[0] - cols[0, a0:a1])
+                for ax in (1, 2):
+                    d2 += np.square(q[ax] - cols[ax, a0:a1])
                 # self is NaN: it partitions last and fails every <= test
-                d2[np.arange(stop - start), np.searchsorted(cand, rows)] = np.nan
+                d2[np.arange(stop - start), np.arange(start - a0, stop - a0)] = np.nan
                 kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1]
-                # a row outside the box is farther than a face: exact when
-                # every k-th candidate is nearer than its query's nearest face
-                face = np.minimum(np.square(q - b_lo), np.square(b_hi - q))[:, live]
-                if (kth[:, None] < face).all():
+                # every row outside the slab is at least as far along the
+                # sweep axis as the nearest one on its side
+                below = qkey - key[a0 - 1] if a0 > 0 else np.inf
+                above = key[a1] - qkey if a1 < n else np.inf
+                if (kth < np.square(np.minimum(below, above))).all():
                     break
-                inner = np.minimum(q - block_lo[i], block_hi[i] - q)[:, live]
-                reach = np.sqrt(kth)[:, None] - inner
-                r = max(1.5 * r, 1.01 * float(reach.max()))
-            else:
-                r *= 1.5
+            r = 2.0 * r or np.inf  # a start of 0 (a subnormal extent) takes every row
         flat = np.flatnonzero(d2 <= kth[:, None])  # row-major: rows ascending
         rr, col = np.divmod(flat, d2.shape[1])
-        # stable: equal distances keep the columns' index order
-        pick = np.lexsort((d2.ravel()[flat], rr))
+        cand = order[a0 + col]
+        # nearest first, equal distances to the lower index
+        pick = np.lexsort((cand, d2.ravel()[flat], rr))
         first = np.searchsorted(rr, np.arange(stop - start))
-        table[start:stop] = cand[col][pick][first[:, None] + np.arange(k_eff)]
-    out = np.empty_like(table)
-    out[order] = table
-    return out
+        table[order[start:stop]] = cand[pick][first[:, None] + np.arange(k_eff)]
+    return table
 
 
 def coarse_offsets_batch(offsets, neighbor_table):

@@ -189,6 +189,10 @@ class Camera:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=float))
+        for name in ("rotation", "translation", "fx", "fy", "cx", "cy", "near"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise InvalidInputError(f"camera {name} must be finite, not {value!r}")
         R = self.rotation
         if R.shape != (3, 3) or np.max(np.abs(R @ R.T - np.eye(3))) > 1e-6:
             raise InvalidInputError("camera rotation must be orthonormal")

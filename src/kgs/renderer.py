@@ -47,6 +47,7 @@ Tiles run one after another, in tile order, on the calling thread.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -160,7 +161,8 @@ class ParamGrads:
 
 def _check_pose(n, *per_splat):
     """Raise, naming the first splat with a non-finite row in any array."""
-    bad = ~np.all([np.isfinite(a.reshape(n, -1)).all(axis=1) for a in per_splat], axis=0)
+    bad = ~np.all([np.isfinite(a.reshape(n, math.prod(a.shape[1:]))).all(axis=1)
+                   for a in per_splat], axis=0)
     if bad.any():
         raise NumericalError("pose stage: non-finite position or covariance for "
                              f"splat {int(np.argmax(bad))}")

@@ -71,8 +71,18 @@ def make_scene(positions, quaternions, log_scales, opacity_logits, colors, level
 
 
 def random_scene(rng, count, bound, scale=0.05, opacity=0.1):
-    """Uniform random initialization inside a centered cube, at level 1."""
+    """Uniform random initialization inside a centered cube, at level 1:
+    count splats within bound of the origin on each axis, isotropic with
+    scale, of opacity in (0, 1)."""
     from .gaussians import inverse_sigmoid
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise InvalidInputError(f"random_scene: count must be a non-negative integer, "
+                                f"not {count!r}")
+    for name, value, ok, want in (("bound", bound, 0.0 <= bound < np.inf, "finite and >= 0"),
+                                  ("scale", scale, 0.0 < scale < np.inf, "finite and > 0"),
+                                  ("opacity", opacity, 0.0 < opacity < 1.0, "in (0, 1)")):
+        if not ok:
+            raise InvalidInputError(f"random_scene: {name} must be {want}, not {value!r}")
     positions = rng.uniform(-bound, bound, (count, 3))
     quats = np.zeros((count, 4))
     quats[:, 0] = 1.0

@@ -346,27 +346,31 @@ class TestKnnOracle:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_random_inputs(self, data):
-        """Uniform, clustered and integer-grid rows through small blocks and
-        boxes that start too small, so blocks are searched more than once."""
+        """Uniform, clustered, integer-grid, flat and thin rows through small
+        blocks and slabs that start too small, so blocks are searched more
+        than once."""
         n = data.draw(st.integers(2, 300))
         k = data.draw(st.one_of(st.integers(0, 12), st.integers(n - 2, n + 2)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        kind = data.draw(st.sampled_from(["uniform", "clustered", "grid", "flat"]))
+        kind = data.draw(st.sampled_from(["uniform", "clustered", "grid", "flat", "thin"]))
         if kind == "uniform":
             pos = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.1, 10.0, 3)
         elif kind == "clustered":
             pos = clustered(rng, n // 2, n - n // 2)
         elif kind == "grid":
             pos = rng.integers(-3, 4, (n, 3)).astype(float)
-        else:
+        elif kind == "flat":
             pos = rng.uniform(-1.0, 1.0, (n, 3))
             pos[:, rng.integers(0, 3)] = 0.5
+        else:  # one axis spread 1e-3 of the others: the sweep axis matters
+            pos = rng.uniform(-1.0, 1.0, (n, 3))
+            pos[:, rng.integers(0, 3)] *= 1e-3
         assert_matches_oracle(pos, k, block=data.draw(st.sampled_from([3, 8, 32])))
 
     @pytest.mark.parametrize("order_seed", [0, None])
     def test_clustered(self, order_seed):
-        """The mean density misjudges both the blob and the backdrop, so
-        backdrop blocks need a second, larger box."""
+        """A dense blob inside a sparse backdrop: the slab that a block
+        needs changes along the sweep."""
         pos = clustered(np.random.default_rng(4), 2400, 600)
         assert_matches_oracle(reordered(pos, order_seed), 8)
 
@@ -392,6 +396,30 @@ class TestKnnOracle:
         rng = np.random.default_rng(8)
         pos = 1e6 + 1e-3 * rng.integers(0, 12, (800, 3)) + 1e-4 * rng.uniform(size=(800, 3))
         assert_matches_oracle(reordered(pos, order_seed), 8)
+
+    def test_tied_sweep_coordinate(self):
+        """The widest axis takes only 3 values, so rows with equal sort keys
+        straddle every block boundary and fill each slab's ends."""
+        rng = np.random.default_rng(10)
+        pos = rng.uniform(-1.0, 1.0, (2000, 3))
+        pos[:, 1] = 1.5 * rng.integers(0, 3, 2000)
+        assert_matches_oracle(pos, 8)
+
+    def test_subnormal_extent(self):
+        """The mean spacing along the sweep axis rounds to 0, so a zero
+        start radius must still widen."""
+        pos = np.zeros((100, 3))
+        pos[-1, 0] = 5e-324
+        assert_matches_oracle(pos, 8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tie_with_nearest_row_outside(self, seed):
+        """Integer points on a line, 3 queries per block: a k-th candidate
+        often ties with the nearest row outside the slab, which may hold the
+        lower index, so the slab must grow past it."""
+        pos = np.zeros((40, 3))
+        pos[:, 0] = np.random.default_rng(seed).integers(-6, 7, 40)
+        assert_matches_oracle(pos, 3, block=3)
 
     @pytest.mark.parametrize("k_offset", [-1, 0, 5])
     def test_k_at_least_n_minus_one(self, k_offset):

@@ -272,6 +272,22 @@ class TestCamera:
             with pytest.raises(InvalidInputError, match="must be a positive integer"):
                 make_camera(**{name: size})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rotation", "translation", "fx", "fy", "cx", "cy",
+                                      "near"])
+    def test_non_finite_rejected(self, name, bad):
+        """At construction: a render through such a camera draws only the
+        background."""
+        args = dict(rotation=np.eye(3), translation=np.zeros(3), fx=100.0, fy=100.0,
+                    cx=32.0, cy=32.0, width=64, height=64, near=0.01)
+        if name in ("rotation", "translation"):
+            args[name] = args[name].copy()
+            args[name].flat[1] = bad
+        else:
+            args[name] = bad
+        with pytest.raises(InvalidInputError, match=f"^camera {name} must be finite"):
+            Camera(**args)
+
     def test_numpy_integer_size_accepted(self):
         cam = make_camera(w=np.int64(16), h=np.int32(8))
         assert (cam.width, cam.height) == (16, 8)

@@ -734,6 +734,30 @@ class TestDegenerateScenes:
         np.testing.assert_allclose(frame.image, naive.image, rtol=0, atol=1e-12)
 
 
+    def test_empty_scene(self):
+        """Zero splats: eval and train frames are the background at every
+        pixel, and the backward returns per-splat gradients with zero rows
+        and zero gradients for the field weights."""
+        scene, fieldp, partition, table, cam = degenerate_scene("all_static", 0, 3)
+        background = np.broadcast_to(SETTINGS.background, (cam.height, cam.width, 3))
+        frame = render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="eval",
+                       neighbor_table=table)
+        np.testing.assert_array_equal(frame.image, background)
+        rng = np.random.default_rng(3)
+        frame, tape = render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode="train",
+                             rng=rng, noise_sigma=0.05, dt=0.125, neighbor_table=table)
+        np.testing.assert_array_equal(frame.image, background)
+        grads = render_backward(tape, rng.normal(size=frame.image.shape), fieldp,
+                                *no_extras(tape))
+        for name, g in grads.grads.items():
+            if name in ("positions", "quaternions", "log_scales", "opacity_logits",
+                        "colors", "features"):
+                assert g.shape[0] == 0, name
+            else:
+                assert g.shape == getattr(fieldp, name).shape and not g.any(), name
+        assert grads.densify_norm.shape == grads.densify_count.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # binning and the tape
 # ---------------------------------------------------------------------------

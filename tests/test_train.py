@@ -116,6 +116,34 @@ class TestErrors:
                        cfg.loss_weights(), cfg.densify(), cfg.noise_schedule(), [])
 
 
+class TestRandomScene:
+    @pytest.mark.parametrize("name, value", [
+        ("count", -1), ("count", 2.0), ("count", True),
+        ("bound", -1.0), ("bound", np.inf), ("bound", np.nan),
+        ("scale", 0.0), ("scale", -0.1), ("scale", np.inf), ("scale", np.nan),
+        ("opacity", 0.0), ("opacity", 1.0), ("opacity", 1.5), ("opacity", np.nan)])
+    def test_bad_argument_rejected(self, name, value):
+        args = {"count": 5, "bound": 1.0, "scale": 0.05, "opacity": 0.1, name: value}
+        with pytest.raises(InvalidInputError, match=f"^random_scene: {name} must be"):
+            random_scene(np.random.default_rng(0), **args)
+
+    @pytest.mark.parametrize("key, value", [("init.opacity", 0.0), ("init.opacity", 1.5),
+                                            ("init.scale", 0.0), ("init.bound", -1.0)])
+    def test_bad_config_value_named_at_set_up(self, key, value):
+        """These keys load; set-up names the argument instead of failing
+        inside numpy."""
+        cfg = config_from_dict({key: value})
+        with pytest.raises(InvalidInputError, match=f"^random_scene: {key[5:]} must be"):
+            random_scene(np.random.default_rng(0), cfg.init_count, cfg.init_bound,
+                         cfg.init_scale, cfg.init_opacity)
+
+    def test_empty_and_flat_accepted(self):
+        rng = np.random.default_rng(0)
+        assert random_scene(rng, 0, 1.0).n == 0
+        scene = random_scene(rng, np.int64(4), 0.0)
+        assert scene.n == 4 and not scene.positions.any()
+
+
 class TestBatch:
     def test_batch_two_is_the_mean_of_two_frames(self):
         """The default batch of 2: the logged loss and the densify statistics
