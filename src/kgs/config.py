@@ -12,12 +12,18 @@ exceptions go with it.
 A setting that no run varies is a module constant, not a key: the offset
 bounds and the noise warm-up weight in deform.py, and the LOD floors, the
 pruned share and the densify thresholds in lod.py. The noise decays to 0.
+
+A bounded setting declares its closed range with its field: `batch: int =
+_range(1, 2)` has default 2 and range [1, inf), per channel for a tuple.
+RANGES collects them. The four init.* keys have none: random_scene checks
+them, open ends included. Each default is written here once; the bundles and
+the set-up helpers take theirs from these fields.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,63 +36,68 @@ class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
 
+def _range(low, default, high=math.inf):
+    """A field whose values must lie in [low, high]."""
+    return field(default=default, metadata={"range": (low, high)})
+
+
 @dataclass
 class RunConfig:
-    seed: int = 0
-    iterations: int = 30000
-    batch: int = 2
+    seed: int = _range(0, 0)
+    iterations: int = _range(0, 30000)
+    batch: int = _range(1, 2)
 
-    decomp_tau: float = 2e-5
-    decomp_samples: int = 16
-    decomp_warmup: int = 3000
-    decomp_repeat: int = 2000
+    decomp_tau: float = _range(0, 2e-5)
+    decomp_samples: int = _range(2, 16)
+    decomp_warmup: int = _range(0, 3000)
+    decomp_repeat: int = _range(1, 2000)
 
-    kin_enabled: bool = True
+    kin_enabled: bool = RenderSettings.kin_enabled
 
-    cf_enabled: bool = True
-    k_neighbors: int = 8
-    cf_refresh: int = 500
+    cf_enabled: bool = RenderSettings.coarse_fine
+    k_neighbors: int = _range(0, 8)
+    cf_refresh: int = _range(1, 500)
 
-    hidden: int = 64
-    time_bands: int = 6
-    pos_bands: int = 4
-    feature_dim: int = 16
+    hidden: int = _range(1, 64)
+    time_bands: int = _range(1, 6)
+    pos_bands: int = _range(0, 4)
+    feature_dim: int = _range(0, 16)
 
-    noise_sigma_init: float = 0.1
-    noise_k_delay: int = 500
+    noise_sigma_init: float = _range(0, 0.1)
+    noise_k_delay: int = _range(0, 500)
 
-    lod_l_max: int = RenderSettings.l_max
+    lod_l_max: int = _range(1, RenderSettings.l_max)
 
-    densify_grad_threshold: float = 1e-4
-    densify_interval: int = 300
-    densify_start: int = 500
-    densify_end: int = 10000
-    densify_reset_iteration: int = 3000
-    densify_max_gaussians: int = 100000
+    densify_grad_threshold: float = _range(0, 1e-4)
+    densify_interval: int = _range(1, 300)
+    densify_start: int = _range(0, 500)
+    densify_end: int = _range(0, 10000)
+    densify_reset_iteration: int = _range(0, 3000)
+    densify_max_gaussians: int = _range(0, 100000)
 
-    loss_lambda_dssim: float = 0.2
-    loss_lambda_reg: float = 0.01
-    loss_lambda_ani: float = 0.001
+    loss_lambda_dssim: float = _range(0, 0.2, 1)
+    loss_lambda_reg: float = _range(0, 0.01)
+    loss_lambda_ani: float = _range(0, 0.001)
 
-    lr_position: float = 1.6e-4
-    lr_position_final: float = 1.6e-6
-    lr_rotation: float = 1e-3
-    lr_scale: float = 5e-3
-    lr_opacity: float = 0.05
-    lr_color: float = 2.5e-3
-    lr_field: float = 1.6e-3
-    lr_field_final: float = 1.6e-5
-    lr_features: float = 2.5e-3
+    lr_position: float = _range(0, 1.6e-4)
+    lr_position_final: float = _range(0, 1.6e-6)
+    lr_rotation: float = _range(0, 1e-3)
+    lr_scale: float = _range(0, 5e-3)
+    lr_opacity: float = _range(0, 0.05)
+    lr_color: float = _range(0, 2.5e-3)
+    lr_field: float = _range(0, 1.6e-3)
+    lr_field_final: float = _range(0, 1.6e-5)
+    lr_features: float = _range(0, 2.5e-3)
 
-    background: tuple = (0.0, 0.0, 0.0)
-    render_tile: int = RenderSettings.tile
+    background: tuple = _range(0, (0.0, 0.0, 0.0), 1)    # per channel
+    render_tile: int = _range(1, RenderSettings.tile)
 
     init_count: int = 400
     init_bound: float = 1.2
     init_scale: float = 0.08
     init_opacity: float = 0.1
 
-    eval_holdout_every: int = 8
+    eval_holdout_every: int = _range(1, 8)
 
     # -- derived bundles ---------------------------------------------------
 
@@ -127,23 +138,8 @@ _PERFBENCH_KEYS = {"hidden": "field.hidden", "time_bands": "field.time_bands",
 DOTTED_KEYS = {_PERFBENCH_KEYS.get(f.name, f.name.replace("_", ".", 1)): f.name
                for f in fields(RunConfig)}
 
-# The values each bounded setting accepts, as an interval: "[" and "]" are
-# closed ends, "(" and ")" open ones.
-_BOUNDS = {"render_tile": "[1, inf)", "k_neighbors": "[0, inf)", "batch": "[1, inf)",
-           "cf_refresh": "[1, inf)", "densify_interval": "[1, inf)",
-           "decomp_repeat": "[1, inf)", "decomp_samples": "[2, inf)",
-           "decomp_tau": "[0, inf)", "noise_sigma_init": "[0, inf)", "hidden": "[1, inf)",
-           "time_bands": "[1, inf)", "lod_l_max": "[1, inf)", "pos_bands": "[0, inf)",
-           "feature_dim": "[0, inf)", "loss_lambda_dssim": "[0, 1]",
-           "loss_lambda_reg": "[0, inf)", "loss_lambda_ani": "[0, inf)",
-           **{f.name: "[0, inf)" for f in fields(RunConfig) if f.name.startswith("lr_")}}
-
-
-def _in_interval(value, interval):
-    low, high = (float(end) for end in interval[1:-1].split(","))
-    above = value > low if interval[0] == "(" else value >= low
-    below = value < high if interval[-1] == ")" else value <= high
-    return above and below
+# RunConfig field -> the closed range [low, high] it declares
+RANGES = {f.name: f.metadata["range"] for f in fields(RunConfig) if "range" in f.metadata}
 
 
 def _is_finite_number(value):
@@ -164,15 +160,11 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
             if (not isinstance(value, (list, tuple)) or len(value) != 3
                     or not all(_is_finite_number(v) for v in value)):
                 raise ConfigError(f"{key} must be a list of 3 finite numbers, got {value!r}")
-            updates[attr] = tuple(float(v) for v in value)
-            continue
-        current = getattr(cfg, attr)
-        if isinstance(current, bool):
+            value = tuple(float(v) for v in value)
+        elif isinstance(getattr(cfg, attr), bool):
             if not isinstance(value, bool):
                 raise ConfigError(f"{key} expects a boolean, got {value!r}")
-            updates[attr] = value
-            continue
-        if isinstance(current, int):
+        elif isinstance(getattr(cfg, attr), int):
             if not _is_finite_number(value) or value != int(value):
                 raise ConfigError(f"{key} expects an integer, got {value!r}")
             value = int(value)
@@ -180,8 +172,11 @@ def config_from_dict(flat: dict, base: RunConfig | None = None) -> RunConfig:
             if not _is_finite_number(value):
                 raise ConfigError(f"{key} expects a finite number, got {value!r}")
             value = float(value)
-        if attr in _BOUNDS and not _in_interval(value, _BOUNDS[attr]):
-            raise ConfigError(f"{key} must be in {_BOUNDS[attr]}, got {value!r}")
+        low, high = RANGES.get(attr, (-math.inf, math.inf))
+        channels = value if isinstance(value, tuple) else (value,)
+        if not all(low <= v <= high for v in channels):
+            end = ")" if high == math.inf else "]"
+            raise ConfigError(f"{key} must be in [{low}, {high}{end}, got {value!r}")
         updates[attr] = value
     return replace(cfg, **updates)
 

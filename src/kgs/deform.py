@@ -77,7 +77,7 @@ class NoiseSchedule:
 
     sigma_init: float
     k_max: int
-    k_delay: int = 0
+    k_delay: int
 
     def sigma(self, k):
         frac = np.clip(k / max(self.k_max, 1), 0.0, 1.0)
@@ -119,8 +119,8 @@ def field_input_dim(pos_bands, time_bands):
     return 6 * pos_bands + 4 + 3 + 2 * time_bands
 
 
-def init_field_params(rng, n_gaussians, hidden=64, time_bands=6, pos_bands=4,
-                      feature_dim=16) -> FieldParams:
+def init_field_params(rng, n_gaussians, hidden, time_bands, pos_bands,
+                      feature_dim) -> FieldParams:
     """He-initialized hidden layer, zero output heads (deformation starts at
     the canonical scene), zero features."""
     d_in = field_input_dim(pos_bands, time_bands)

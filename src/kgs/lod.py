@@ -37,12 +37,12 @@ SCENE_EXTENT = 3.0
 
 @dataclass(frozen=True)
 class DensifyConfig:
-    grad_threshold: float = 1e-4
-    interval: int = 300
-    window_start: int = 500
-    window_end: int = 10000
-    reset_iteration: int = 3000
-    max_gaussians: int = 100000
+    grad_threshold: float
+    interval: int
+    window_start: int
+    window_end: int
+    reset_iteration: int
+    max_gaussians: int
 
 
 def min_scale_per_gaussian(levels, l_max):

@@ -89,7 +89,7 @@ def ssim_backward(cache, d_value=1.0):
     return np.ascontiguousarray(np.moveaxis(d_x, 0, -1))  # the image's (H, W, C) layout
 
 
-def image_loss(img, gt, lambda_dssim=0.2):
+def image_loss(img, gt, lambda_dssim):
     """(1-l)*mean|I-I_gt| + l*(1-SSIM). Returns (value, cache)."""
     img = np.asarray(img, dtype=float)
     gt = np.asarray(gt, dtype=float)

@@ -106,6 +106,14 @@ class RenderSettings:
     coarse_fine: bool = True
     l_max: int = 3              # LOD levels (lod.py)
 
+    def __post_init__(self):
+        # render clips the image to [0, 1] and render_backward does not, so
+        # a background channel outside [0, 1] would give wrong gradients
+        for i, v in enumerate(np.asarray(self.background, dtype=float).reshape(-1)):
+            if not 0.0 <= v <= 1.0:
+                raise InvalidInputError(f"RenderSettings: background channel {i} is {v}, "
+                                        f"not in [0, 1]")
+
 
 @dataclass
 class RenderedFrame:

@@ -70,7 +70,7 @@ def make_scene(positions, quaternions, log_scales, opacity_logits, colors, level
                  importance=np.zeros(n))
 
 
-def random_scene(rng, count, bound, scale=0.05, opacity=0.1):
+def random_scene(rng, count, bound, scale, opacity):
     """Uniform random initialization inside a centered cube, at level 1:
     count splats within bound of the origin on each axis, isotropic with
     scale, of opacity in (0, 1)."""

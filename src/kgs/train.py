@@ -19,7 +19,14 @@ from .decomposition import (
     compute_scores,
     evaluate_partition_schedule,
 )
-from .deform import FIELD_PARAMS, FieldParams, NoiseSchedule, build_neighbor_table
+from .deform import (
+    FIELD_PARAMS,
+    OFFSET_DIM,
+    FieldParams,
+    NoiseSchedule,
+    build_neighbor_table,
+    field_input_dim,
+)
 from .gaussians import InvalidInputError, NumericalError, quat_normalize
 from .lod import (
     DensifyConfig,
@@ -101,9 +108,9 @@ class Adam:
 
 @dataclass
 class LossWeights:
-    lambda_dssim: float = 0.2
-    lambda_reg: float = 0.01
-    lambda_ani: float = 0.001
+    lambda_dssim: float
+    lambda_reg: float
+    lambda_ani: float
 
 
 @dataclass
@@ -293,7 +300,9 @@ def load_checkpoint(path):
     row count differs from positions', or when the neighbor table's differs
     from the number of dynamic splats, or when such an entry's dtype or
     trailing shape differs from what save_checkpoint writes, or when the
-    table holds an index outside [0, number of dynamic splats)."""
+    table holds an index outside [0, number of dynamic splats), or when a
+    field weight's shape does not follow from field_meta, OFFSET_DIM, the
+    hidden width (w1's rows) and the feature width (features' columns)."""
     arrays, meta = read_checkpoint(path)
     try:
         layout = {**ROW_ENTRIES,
@@ -320,8 +329,19 @@ def load_checkpoint(path):
         if table is not None and ((table < 0) | (table >= table.shape[0])).any():
             raise InvalidInputError(f"checkpoint {path}: entry 'neighbor_table' holds an "
                                     f"index outside [0, {table.shape[0]})")
+        bands = meta["field_meta"]
+        hidden = arrays["w1"].shape[:1]     # () for a malformed w1, which then fails first
+        d_fine = arrays["features"].shape[1] + 2 * bands["time_bands"]
+        weights = {"w1": (*hidden, field_input_dim(bands["pos_bands"], bands["time_bands"])),
+                   "b1": hidden, "w2": (OFFSET_DIM, *hidden), "b2": (OFFSET_DIM,),
+                   "fine_w1": (*hidden, d_fine), "fine_b1": hidden,
+                   "fine_w2": (OFFSET_DIM, *hidden), "fine_b2": (OFFSET_DIM,)}
+        for name, shape in weights.items():
+            if arrays[name].shape != shape:
+                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
+                                        f"{arrays[name].shape}, not {shape}")
         scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
-        fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **meta["field_meta"])
+        fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **bands)
         adam = make_adam(scene, fieldp)
         adam.load_state_arrays(arrays)
         adam.t = meta["adam_t"]

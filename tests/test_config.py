@@ -7,6 +7,7 @@ import pytest
 
 from kgs.config import (
     DOTTED_KEYS,
+    RANGES,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -70,6 +71,56 @@ class TestRegistry:
             assert getattr(cfg, name) == value, key
             assert cfg == RunConfig(**{name: value}), key
             assert config_to_dict(cfg)[key] == flat[key], key
+
+    def test_every_number_has_a_range_or_is_named(self):
+        """A new numeric key has to declare its range or join UNRANGED; every
+        default lies in its range."""
+        for key, name in DOTTED_KEYS.items():
+            default = getattr(RunConfig(), name)
+            if isinstance(default, bool):
+                continue
+            assert (name in RANGES) != (key in UNRANGED), key
+            low, high = RANGES.get(name, (-math.inf, math.inf))
+            assert all(low <= v <= high for v in np.atleast_1d(default)), key
+
+
+# The numeric keys without a declared range: random_scene checks them, open
+# ends included.
+UNRANGED = ("init.count", "init.bound", "init.scale", "init.opacity")
+
+# The ranges the config checked before they were declared on the fields, as
+# [low, high]; each end still loads, and a value just outside is rejected
+# with the same message.
+EARLIER_RANGES = {
+    "render.tile": (1, math.inf), "cf.k": (0, math.inf), "batch": (1, math.inf),
+    "cf.refresh": (1, math.inf), "densify.interval": (1, math.inf),
+    "decomp.repeat": (1, math.inf), "decomp.samples": (2, math.inf),
+    "decomp.tau": (0, math.inf), "noise.sigma_init": (0, math.inf),
+    "field.hidden": (1, math.inf), "field.time_bands": (1, math.inf),
+    "lod.l_max": (1, math.inf), "field.pos_bands": (0, math.inf),
+    "field.feature_dim": (0, math.inf), "loss.lambda_dssim": (0, 1),
+    "loss.lambda_reg": (0, math.inf), "loss.lambda_ani": (0, math.inf),
+    **{k: (0, math.inf) for k in DOTTED_KEYS if k.startswith("lr.")},
+}
+
+
+class TestEarlierRanges:
+    def test_the_earlier_range_list(self):
+        assert len(EARLIER_RANGES) == 26
+
+    @pytest.mark.parametrize("key", list(EARLIER_RANGES))
+    def test_ends_load_and_just_outside_is_rejected(self, key):
+        low, high = EARLIER_RANGES[key]
+        name = DOTTED_KEYS[key]
+        integer = isinstance(getattr(RunConfig(), name), int)
+        ends = [(low, -1)] + ([(high, 1)] if high < math.inf else [])
+        interval = f"[{low}, {high}]" if high < math.inf else f"[{low}, inf)"
+        for end, outward in ends:
+            assert getattr(config_from_dict({key: end}), name) == end
+            outside = end + outward if integer else math.nextafter(end, outward * math.inf)
+            with pytest.raises(ConfigError) as err:
+                config_from_dict({key: outside})
+            assert str(err.value) == f"{key} must be in {interval}, got {outside!r}"
 
 
 # Every key the config accepted before keys were derived from field names,
@@ -171,6 +222,11 @@ class TestRejects:
         ("field.time_bands", 0), ("field.pos_bands", -1), ("field.feature_dim", -2),
         ("lod.l_max", 0), ("loss.lambda_dssim", 1.5), ("loss.lambda_dssim", -0.1),
         ("loss.lambda_reg", -0.01), ("loss.lambda_ani", -0.001),
+        ("render.background", [2.0, -1.0, 0.5]), ("render.background", [0.0, 0.0, 1.5]),
+        ("seed", -1), ("iterations", -5), ("decomp.warmup", -1), ("noise.k_delay", -1),
+        ("densify.grad_threshold", -1e-4), ("densify.start", -1), ("densify.end", -1),
+        ("densify.reset_iteration", -1), ("densify.max_gaussians", -1),
+        ("eval.holdout_every", 0),
     ])
     def test_out_of_range_names_the_key(self, key, value):
         """Rejected when loaded, not later in a bundle or mid-run."""

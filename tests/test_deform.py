@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgs import deform
+from kgs.config import RunConfig
 from kgs.deform import (
     NoiseSchedule,
     build_neighbor_table,
@@ -22,8 +23,15 @@ from kgs.deform import (
 from kgs.gaussians import InvalidInputError, NumericalError
 
 
-def random_field(rng, n, nonzero_out=True, **kw):
-    params = init_field_params(rng, n, **kw)
+def default_field(rng, n):
+    """Zero heads and features, at RunConfig's field sizes."""
+    cfg = RunConfig()
+    return init_field_params(rng, n, cfg.hidden, cfg.time_bands, cfg.pos_bands,
+                             cfg.feature_dim)
+
+
+def random_field(rng, n, nonzero_out=True):
+    params = default_field(rng, n)
     if nonzero_out:
         params.w2 = rng.normal(0, 0.05, params.w2.shape)
         params.b2 = rng.normal(0, 0.02, params.b2.shape)
@@ -91,14 +99,14 @@ class TestNoiseSchedule:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_no_warmup_variant(self):
-        sched = NoiseSchedule(sigma_init=0.1, k_max=10)
+        sched = NoiseSchedule(sigma_init=0.1, k_max=10, k_delay=0)
         assert sched.sigma(0) == pytest.approx(0.1)
 
 
 class TestPredictor:
     def test_zero_init_gives_zero_offsets(self):
         rng = np.random.default_rng(2)
-        params = init_field_params(rng, 8)
+        params = default_field(rng, 8)
         positions, quats, log_scales = random_inputs(rng, 8)
         out, _ = predict_offsets_batch(params, positions, quats, log_scales,
                                        0.3, 0.0, None)
@@ -186,7 +194,7 @@ class TestClamps:
 class TestFineHead:
     def test_zero_init_zero_offsets(self):
         rng = np.random.default_rng(7)
-        params = init_field_params(rng, 5)
+        params = default_field(rng, 5)
         out, _ = fine_offsets_batch(params, np.zeros((5, 16)), 0.2)
         np.testing.assert_allclose(out, 0.0, atol=0)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from kgs import lod
+from kgs.config import RunConfig
 from kgs.gaussians import InvalidInputError, inverse_sigmoid, sigmoid
 from kgs.lod import (
-    DensifyConfig,
     advance_level,
     densify_candidates,
     effective_scale,
@@ -99,7 +99,7 @@ class TestEffectiveScale:
 
 def tiny_scene(n=6, seed=0):
     rng = np.random.default_rng(seed)
-    scene = random_scene(rng, n, 1.0, scale=0.3)
+    scene = random_scene(rng, n, 1.0, scale=0.3, opacity=0.1)
     scene.log_scales = rng.normal(-1.0, 0.2, (n, 3))
     return scene, rng
 
@@ -153,7 +153,7 @@ class TestDensify:
         lod_floor(0.01)
         monkeypatch.setattr(lod, "SCENE_EXTENT", 2.0)
         split, clone = densify_candidates(scene, np.full(6, 5e-5), np.ones(6),
-                                          DensifyConfig(), 3)
+                                          RunConfig().densify(), 3)
         assert not split.any() and not clone.any()
 
     def test_split_vs_clone_partition(self, lod_floor, monkeypatch):
@@ -164,7 +164,7 @@ class TestDensify:
         scene.log_scales[:3] = np.log(0.9)     # big -> split
         scene.log_scales[3:] = np.log(0.01)    # small -> clone
         split, clone = densify_candidates(scene, np.full(6, 1e-3), np.ones(6),
-                                          DensifyConfig(), 3)
+                                          RunConfig().densify(), 3)
         assert split[:3].all() and not split[3:].any()
         assert clone[3:].all() and not clone[:3].any()
 

@@ -998,3 +998,13 @@ class TestTape:
         scene, fieldp, partition, table, cam = deep_scene(9, opacity=0.3)
         frame, tape = train_frame(scene, fieldp, partition, table, cam)
         np.testing.assert_array_equal(replay_tape(tape), frame.image)
+
+
+@pytest.mark.parametrize("background,channel", [
+    ([2.0, -1.0, 0.5], 0), ([0.5, -1e-9, 0.5], 1), ([0.0, 0.0, np.nan], 2)])
+def test_background_outside_unit_range_rejected(background, channel):
+    """render clips the image to [0, 1] and render_backward does not, so a
+    channel outside [0, 1] would give wrong gradients."""
+    with pytest.raises(InvalidInputError, match=rf"^RenderSettings: background channel "
+                                                rf"{channel} is "):
+        RenderSettings(background=np.array(background))

@@ -139,8 +139,8 @@ class TestRandomScene:
 
     def test_empty_and_flat_accepted(self):
         rng = np.random.default_rng(0)
-        assert random_scene(rng, 0, 1.0).n == 0
-        scene = random_scene(rng, np.int64(4), 0.0)
+        assert random_scene(rng, 0, 1.0, 0.05, 0.1).n == 0
+        scene = random_scene(rng, np.int64(4), 0.0, 0.05, 0.1)
         assert scene.n == 4 and not scene.positions.any()
 
 
@@ -532,6 +532,23 @@ class TestCheckpoint:
         write_checkpoint(path, {**arrays, "neighbor_table": table}, meta)
         assert_rejected(path, "entry 'neighbor_table' holds an index outside "
                               f"[0, {table.shape[0]})")
+
+    @pytest.mark.parametrize("entry", FIELD_PARAMS)
+    def test_field_weight_shapes_checked(self, tmp_path, entry):
+        """Three extra columns in one array are caught at load, not inside the
+        first render's matmul. The feature width is features' column count,
+        so widened features leave fine_w1 three columns short."""
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        before = arrays[entry].shape
+        arrays[entry] = np.concatenate([arrays[entry], np.zeros(before[:-1] + (3,))], -1)
+        write_checkpoint(path, arrays, meta)
+        if entry == "features":
+            have = arrays["fine_w1"].shape
+            assert_rejected(path, f"entry 'fine_w1' has shape {have}, "
+                                  f"not {(have[0], have[1] + 3)}")
+        else:
+            assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, "
+                                  f"not {before}")
 
     def test_header_without_meta_rejected(self, tmp_path):
         path = tmp_path / "bare.kgs"
