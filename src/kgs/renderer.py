@@ -198,6 +198,9 @@ def _pose_forward(scene, partition: Partition, fieldp, neighbor_table, t, dt,
     n = scene.n
     _check_pose(n, scene.positions, scene.quaternions, scene.log_scales)
     dyn = partition.dynamic
+    if dyn.shape != (n,) or dyn.dtype != bool:
+        raise InvalidInputError(f"pose stage: partition.dynamic of shape {dyn.shape} and "
+                                f"dtype {dyn.dtype} is not {n} bools")
     dyn_idx = partition.dynamic_indices
     q_n, q_norm = quat_normalize(scene.quaternions, return_norm=True)
 
@@ -596,11 +599,14 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     """Render the scene at time t.
 
     Train mode injects predictor noise and models exposure blur over the
-    frame interval; eval mode forces noise off and renders zero-exposure.
+    frame interval dt; eval mode forces noise off and renders zero-exposure.
+    Both modes read the velocity dx / dt, so dt must be finite and > 0.
     Returns RenderedFrame, or (RenderedFrame, RenderTape) when want_tape.
     """
     if mode not in ("train", "eval"):
         raise InvalidInputError(f"render mode must be 'train' or 'eval', got {mode!r}")
+    if not 0.0 < dt < math.inf:
+        raise InvalidInputError(f"render: dt must be finite and > 0, got {dt!r}")
     train = mode == "train"
     if want_tape is None:
         want_tape = train

@@ -4,7 +4,9 @@ A checkpoint is an uncompressed ``np.savez`` archive: one entry per named
 array, plus ``header``, a 0-d string array holding the JSON text
 ``{"version": VERSION, "meta": {...}}``. Each zip member carries a CRC-32,
 so a damaged file fails to load; arrays load with pickling off.
-``train.save_checkpoint`` says which fields a training state writes.
+``train.TrainState.named_arrays`` is the one list of a training state's
+arrays: ``train.save_checkpoint`` writes it, and ``train.load_checkpoint``
+checks a file against it for a fresh state of the file's dimensions.
 """
 from __future__ import annotations
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import ConfigError, config_from_dict
 from .decomposition import (
     Partition,
     classify,
@@ -21,11 +22,10 @@ from .decomposition import (
 )
 from .deform import (
     FIELD_PARAMS,
-    OFFSET_DIM,
     FieldParams,
     NoiseSchedule,
     build_neighbor_table,
-    field_input_dim,
+    init_field_params,
 )
 from .gaussians import InvalidInputError, NumericalError, quat_normalize
 from .lod import (
@@ -46,19 +46,10 @@ from .losses import (
     reg_loss_backward,
 )
 from .renderer import ParamGrads, RenderSettings, render, render_backward
-from .scene import SCENE_PARAMS, Scene, read_checkpoint, write_checkpoint
+from .scene import SCENE_PARAMS, Scene, random_scene, read_checkpoint, write_checkpoint
 
 # Per-splat optimized arrays: their Adam moments follow every row edit.
 ROW_PARAMS = SCENE_PARAMS + ("features",)
-# (trailing shape, dtype) of each row-aligned entry save_checkpoint writes,
-# besides the Adam moments; None: any width
-ROW_ENTRIES = {
-    "positions": ((3,), "float64"), "quaternions": ((4,), "float64"),
-    "log_scales": ((3,), "float64"), "opacity_logits": ((), "float64"),
-    "colors": ((3,), "float64"), "levels": ((), "int64"), "importance": ((), "float64"),
-    "features": ((None,), "float64"), "grad_accum": ((), "float64"),
-    "grad_count": ((), "float64"), "partition_dynamic": ((), "bool"),
-}
 
 
 def exponential_lr(initial, final, k, total):
@@ -153,6 +144,17 @@ class TrainState:
         self.grad_accum = fresh(self.grad_accum)
         self.grad_count = fresh(self.grad_count)
         self.partition = Partition(dynamic=rows(self.partition.dynamic))
+
+    def named_arrays(self):
+        """Every array of the state by name, as a checkpoint holds them: the
+        scene's, the field's, the Adam moments, the partition mask, the
+        densify statistics, and the neighbor table when there is one."""
+        out = {**self.scene.per_gaussian_arrays(), **dict(self.fieldp.param_items()),
+               **self.adam.state_arrays(), "partition_dynamic": self.partition.dynamic,
+               "grad_accum": self.grad_accum, "grad_count": self.grad_count}
+        if self.neighbor_table is not None:
+            out["neighbor_table"] = self.neighbor_table
+        return out
 
 
 def param_arrays(scene: Scene, fieldp: FieldParams):
@@ -276,13 +278,6 @@ def recompute_partition(state: TrainState, tau, n_samples):
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, state: TrainState, config_dict: dict):
-    arrays = {**state.scene.per_gaussian_arrays(), **dict(state.fieldp.param_items()),
-              **state.adam.state_arrays()}
-    arrays["partition_dynamic"] = state.partition.dynamic
-    arrays["grad_accum"] = state.grad_accum
-    arrays["grad_count"] = state.grad_count
-    if state.neighbor_table is not None:
-        arrays["neighbor_table"] = state.neighbor_table
     meta = {
         "iteration": state.iteration,
         "adam_t": state.adam.t,
@@ -291,62 +286,74 @@ def save_checkpoint(path, state: TrainState, config_dict: dict):
         "field_meta": {"time_bands": state.fieldp.time_bands,
                        "pos_bands": state.fieldp.pos_bands},
     }
-    write_checkpoint(path, arrays, meta)
+    write_checkpoint(path, state.named_arrays(), meta)
 
 
 def load_checkpoint(path):
-    """The TrainState and meta that save_checkpoint wrote. Raises, naming the
-    file and the entry, when an entry is missing, when a per-splat array's
-    row count differs from positions', or when the neighbor table's differs
-    from the number of dynamic splats, or when such an entry's dtype or
-    trailing shape differs from what save_checkpoint writes, or when the
-    table holds an index outside [0, number of dynamic splats), or when a
-    field weight's shape does not follow from field_meta, OFFSET_DIM, the
-    hidden width (w1's rows) and the feature width (features' columns)."""
+    """The TrainState and meta that save_checkpoint wrote. One rule checks
+    the arrays: the file holds every array that save_checkpoint writes for
+    a fresh state of the file's dimensions, each with that array's shape and
+    dtype. The dimensions are positions' rows, w1's rows (the hidden width),
+    features' columns, partition_dynamic's dynamic count, neighbor_table's
+    columns and field_meta's bands. The table's indices must also lie in
+    [0, dynamic count); iteration and adam_t must be integers >= 0, the bands
+    valid field.* settings and rng_state a PCG64 state. Errors name the file
+    and the entry."""
     arrays, meta = read_checkpoint(path)
+
+    def fail(detail):
+        raise InvalidInputError(f"checkpoint {path}: {detail}")
+
+    def size(name, axis):
+        """One of the fresh state's dimensions: axis `axis` of entry `name`."""
+        shape = arrays[name].shape
+        if axis >= len(shape):
+            fail(f"entry {name!r} has shape {shape}, with no axis {axis}")
+        return shape[axis]
+
     try:
-        layout = {**ROW_ENTRIES,
-                  **{f"adam_{m}_{n}": ROW_ENTRIES[n] for n in ROW_PARAMS for m in "mv"}}
-        want = dict.fromkeys(layout, np.atleast_1d(arrays["positions"]).shape[:1])
+        for name in ("iteration", "adam_t"):
+            value = meta[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                fail(f"meta entry {name!r} is {value!r}, not an integer >= 0")
+        bands = meta["field_meta"]
+        try:
+            cfg = config_from_dict({f"field.{b}": bands[b] for b in ("time_bands", "pos_bands")})
+        except (TypeError, ConfigError) as err:
+            fail(f"meta entry 'field_meta' is {bands!r}: {err}")
+        bands = {"time_bands": cfg.time_bands, "pos_bands": cfg.pos_bands}
+        rng_state, rng = meta["rng_state"], np.random.default_rng()
+        try:
+            rng.bit_generator.state = rng_state
+        except (TypeError, ValueError, KeyError, OverflowError) as err:
+            fail(f"meta entry 'rng_state' is not a PCG64 state ({err})")
+
+        # any splats and weights will do: only shapes and dtypes are compared
+        n, scratch = size("positions", 0), np.random.default_rng(0)
+        scene = random_scene(scratch, n, 1.0, 1.0, 0.5)
+        fieldp = init_field_params(scratch, n, size("w1", 0), bands["time_bands"],
+                                   bands["pos_bands"], size("features", 1))
+        dynamic = np.arange(n) < np.count_nonzero(arrays["partition_dynamic"])
+        fresh = TrainState(scene=scene, fieldp=fieldp, partition=Partition(dynamic=dynamic),
+                           neighbor_table=None, adam=make_adam(scene, fieldp), rng=scratch)
         if "neighbor_table" in arrays:
-            layout["neighbor_table"] = ((None,), "int64")
-            want["neighbor_table"] = (int(arrays["partition_dynamic"].sum()),)
-        for name, rows in want.items():
-            entry = arrays[name]
-            if entry.shape[:1] != rows:
-                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
-                                        f"{entry.shape}, not {rows[0]} rows")
-            trail, dtype = layout[name]
-            if entry.ndim != 1 + len(trail) or any(
-                    w not in (None, got) for w, got in zip(trail, entry.shape[1:])):
-                shape = ", ".join("k" if w is None else str(w) for w in (rows[0], *trail))
-                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
-                                        f"{entry.shape}, not ({shape})")
-            if entry.dtype != dtype:
-                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has dtype "
-                                        f"{entry.dtype}, not {dtype}")
+            fresh.neighbor_table = build_neighbor_table(scene.positions[dynamic],
+                                                        size("neighbor_table", 1))
+        for name, want in fresh.named_arrays().items():
+            got = arrays[name]
+            if got.shape != want.shape:
+                fail(f"entry {name!r} has shape {got.shape}, not {want.shape}")
+            if got.dtype != want.dtype:
+                fail(f"entry {name!r} has dtype {got.dtype}, not {want.dtype}")
         table = arrays.get("neighbor_table")
         if table is not None and ((table < 0) | (table >= table.shape[0])).any():
-            raise InvalidInputError(f"checkpoint {path}: entry 'neighbor_table' holds an "
-                                    f"index outside [0, {table.shape[0]})")
-        bands = meta["field_meta"]
-        hidden = arrays["w1"].shape[:1]     # () for a malformed w1, which then fails first
-        d_fine = arrays["features"].shape[1] + 2 * bands["time_bands"]
-        weights = {"w1": (*hidden, field_input_dim(bands["pos_bands"], bands["time_bands"])),
-                   "b1": hidden, "w2": (OFFSET_DIM, *hidden), "b2": (OFFSET_DIM,),
-                   "fine_w1": (*hidden, d_fine), "fine_b1": hidden,
-                   "fine_w2": (OFFSET_DIM, *hidden), "fine_b2": (OFFSET_DIM,)}
-        for name, shape in weights.items():
-            if arrays[name].shape != shape:
-                raise InvalidInputError(f"checkpoint {path}: entry {name!r} has shape "
-                                        f"{arrays[name].shape}, not {shape}")
+            fail(f"entry 'neighbor_table' holds an index outside [0, {table.shape[0]})")
+
         scene = Scene(**{f.name: arrays[f.name] for f in fields(Scene)})
-        fieldp = FieldParams(**{n: arrays[n] for n in FIELD_PARAMS}, **bands)
+        fieldp = FieldParams(**{name: arrays[name] for name in FIELD_PARAMS}, **bands)
         adam = make_adam(scene, fieldp)
         adam.load_state_arrays(arrays)
         adam.t = meta["adam_t"]
-        rng = np.random.default_rng()
-        rng.bit_generator.state = meta["rng_state"]
         state = TrainState(scene=scene, fieldp=fieldp,
                            partition=Partition(dynamic=arrays["partition_dynamic"]),
                            neighbor_table=table, adam=adam, rng=rng,

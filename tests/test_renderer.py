@@ -8,7 +8,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 from kgs import deform, renderer
-from kgs.decomposition import classify
+from kgs.decomposition import Partition, classify
 from kgs.deform import build_neighbor_table, init_field_params
 from kgs.gaussians import (
     ALPHA_MAX,
@@ -642,6 +642,35 @@ class TestPoseStage:
         with pytest.raises(InvalidInputError, match=r"^pose stage: neighbor_table " + detail):
             render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode=mode, dt=0.125,
                    neighbor_table=table)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bad", ["int", "one_short", "one_long"])
+    def test_partition_mask_must_be_n_bools(self, mode, bad):
+        """An int mask would select rows by index (~1 is -2) in the
+        regularizer and the pose backward, and a mask of n - 1 rows would
+        gate the wrong splats; each is rejected, with a table of one row per
+        dynamic entry."""
+        scene, fieldp, partition, _, cam = deep_scene(10, n=40)
+        dynamic = {"int": partition.dynamic.astype(int),
+                   "one_short": partition.dynamic[:-1],
+                   "one_long": np.append(partition.dynamic, True)}[bad]
+        table = build_neighbor_table(scene.positions[:np.count_nonzero(dynamic)], 4)
+        with pytest.raises(InvalidInputError) as err:
+            render(scene, Partition(dynamic=dynamic), fieldp, cam, 0.3, SETTINGS, mode=mode,
+                   dt=0.125, neighbor_table=table)
+        assert str(err.value) == (f"pose stage: partition.dynamic of shape {dynamic.shape} "
+                                  f"and dtype {dynamic.dtype} is not 40 bools")
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dt", [0.0, -0.125, np.nan, np.inf])
+    def test_bad_frame_interval_rejected(self, mode, dt):
+        """v = dx / dt: dt = 0 or NaN would fail later as a non-finite pose,
+        and a negative dt would render and train."""
+        scene, fieldp, partition, table, cam = deep_scene(10, n=40)
+        with pytest.raises(InvalidInputError) as err:
+            render(scene, partition, fieldp, cam, 0.3, SETTINGS, mode=mode, dt=dt,
+                   neighbor_table=table)
+        assert str(err.value) == f"render: dt must be finite and > 0, got {dt!r}"
 
     @pytest.mark.parametrize("case", ["generic", "all_static", "one_dynamic"])
     def test_eval_pose_is_the_train_pose(self, case, monkeypatch):

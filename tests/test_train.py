@@ -10,7 +10,6 @@ from kgs.deform import FIELD_PARAMS, build_neighbor_table, init_field_params
 from kgs.gaussians import Camera, InvalidInputError, NumericalError
 from kgs.scene import SCENE_PARAMS, random_scene, read_checkpoint, write_checkpoint
 from kgs.train import (
-    ROW_ENTRIES,
     ROW_PARAMS,
     TrainState,
     advance_scene_level,
@@ -105,6 +104,18 @@ class TestErrors:
         with pytest.raises(NumericalError, match=r"^iteration 1: pose stage: .*splat 7$"):
             run(cfg, iterations=2, state=state)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, np.nan])
+    def test_bad_frame_interval_rejected(self, dt):
+        class BadInterval(Clip):
+            def frame_interval(self):
+                return dt
+
+        cfg = config_from_dict(CONFIG)
+        with pytest.raises(InvalidInputError) as err:
+            train_loop(initial_state(cfg), BadInterval(), cfg, cfg.render_settings(),
+                       cfg.loss_weights(), cfg.densify(), cfg.noise_schedule(), [])
+        assert str(err.value) == f"render: dt must be finite and > 0, got {dt!r}"
+
     def test_dataset_without_train_frames_rejected(self):
         class NoFrames(Clip):
             def train_frames(self):
@@ -192,14 +203,7 @@ RESUME_CONFIG = {**CONFIG, "densify.start": 3, "densify.interval": 3, "densify.e
 
 def state_arrays(state):
     """Every array a resumed run must reproduce, by name."""
-    out = {f"scene.{n}": a for n, a in state.scene.per_gaussian_arrays().items()}
-    out.update({f"field.{n}": a for n, a in state.fieldp.param_items()})
-    out.update(state.adam.state_arrays())
-    p = state.partition
-    out.update(dynamic=p.dynamic, dynamic_indices=p.dynamic_indices,
-               grad_accum=state.grad_accum, grad_count=state.grad_count,
-               neighbor_table=state.neighbor_table)
-    return out
+    return {**state.named_arrays(), "dynamic_indices": state.partition.dynamic_indices}
 
 
 @pytest.fixture(scope="module")
@@ -388,9 +392,11 @@ class TestRegistry:
         assert list(param_arrays(state.scene, state.fieldp)) == names
         assert list(state.adam.m) == list(state.adam.v) == names
         assert list(learning_rates(cfg, 1)) == names
-        assert set(SCENE_PARAMS) <= set(state.scene.per_gaussian_arrays()) <= set(ROW_ENTRIES)
+        assert set(SCENE_PARAMS) <= set(state.scene.per_gaussian_arrays()) <= set(
+            state.named_arrays())
         save_checkpoint(tmp_path / "s.kgs", state, CONFIG)
         arrays, _ = read_checkpoint(tmp_path / "s.kgs")
+        assert list(arrays) == list(state.named_arrays())
         assert [n for n in arrays if f"adam_m_{n}" in arrays] == names
 
 
@@ -496,18 +502,26 @@ class TestCheckpoint:
                                        "grad_count", "partition_dynamic"])
     def test_per_splat_row_count_checked(self, tmp_path, entry):
         path, arrays, meta = saved_checkpoint(tmp_path)
-        n = arrays["positions"].shape[0]
+        before = arrays[entry].shape
+        assert before[0] == arrays["positions"].shape[0] > 5
         arrays[entry] = arrays[entry][:5]
         write_checkpoint(path, arrays, meta)
-        assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, not {n} rows")
+        assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, not {before}")
 
     @pytest.mark.parametrize("entry,change,detail", [
         ("partition_dynamic", lambda a: a.astype(float), "has dtype float64, not bool"),
         ("quaternions", lambda a: a[:, :3], "has shape ({n}, 3), not ({n}, 4)"),
-        ("neighbor_table", lambda a: a[:, 0], "has shape ({m},), not ({m}, k)"),
-    ], ids=["dynamic_as_float", "quaternions_n_by_3", "one_dimensional_table"])
+        ("neighbor_table", lambda a: a[:, 0], "has shape ({m},), with no axis 1"),
+        ("positions", lambda a: a[0, 0], "has shape (), with no axis 0"),
+        ("w1", lambda a: a[0, 0], "has shape (), with no axis 0"),
+        ("features", lambda a: a[:, 0], "has shape ({n},), with no axis 1"),
+        ("partition_dynamic", lambda a: a.astype(str), "has dtype <U5, not bool"),
+    ], ids=["dynamic_as_float", "quaternions_n_by_3", "one_dimensional_table",
+            "scalar_positions", "scalar_w1", "one_dimensional_features", "dynamic_as_str"])
     def test_dtype_and_trailing_shape_checked(self, tmp_path, entry, change, detail):
-        """Caught when the checkpoint loads, not at the first render."""
+        """Caught when the checkpoint loads, not at the first render; the
+        entries that size the fresh state are caught by name too, not inside
+        numpy."""
         path, arrays, meta = saved_checkpoint(tmp_path)
         n, m = arrays["positions"].shape[0], arrays["neighbor_table"].shape[0]
         arrays[entry] = change(arrays[entry])
@@ -521,7 +535,16 @@ class TestCheckpoint:
         arrays["neighbor_table"] = table[:-1]
         write_checkpoint(path, arrays, meta)
         assert_rejected(path, f"entry 'neighbor_table' has shape {table[:-1].shape}, "
-                              f"not {table.shape[0]} rows")
+                              f"not {table.shape}")
+
+    def test_table_without_dynamic_splats_checked(self, tmp_path):
+        """Without dynamic splats a table has no rows; a build over no rows
+        gives one column."""
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        arrays["partition_dynamic"][:] = False
+        write_checkpoint(path, arrays, meta)
+        assert_rejected(path, f"entry 'neighbor_table' has shape "
+                              f"{arrays['neighbor_table'].shape}, not (0, 1)")
 
     @pytest.mark.parametrize("index", [-3, 10**6])
     def test_neighbor_table_range_checked(self, tmp_path, index):
@@ -549,6 +572,43 @@ class TestCheckpoint:
         else:
             assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, "
                                   f"not {before}")
+
+    @pytest.mark.parametrize("entry", [f"adam_{m}_{n}" for n in SCENE_PARAMS + FIELD_PARAMS
+                                       for m in "mv"])
+    def test_adam_moment_shapes_checked(self, tmp_path, entry):
+        """Three extra columns (three extra entries when 1-D) in one moment
+        are caught at load, not inside the first Adam step."""
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        before = arrays[entry].shape
+        arrays[entry] = np.concatenate([arrays[entry], np.zeros(before[:-1] + (3,))], -1)
+        write_checkpoint(path, arrays, meta)
+        assert_rejected(path, f"entry {entry!r} has shape {arrays[entry].shape}, not {before}")
+
+    @pytest.mark.parametrize("entry,value,detail", [
+        ("iteration", "5", "is '5', not an integer >= 0"),
+        ("iteration", 5.0, "is 5.0, not an integer >= 0"),
+        ("iteration", True, "is True, not an integer >= 0"),
+        ("adam_t", -1, "is -1, not an integer >= 0"),
+        ("field_meta", {"pos_bands": 2, "time_bands": "2"},
+         "is {'pos_bands': 2, 'time_bands': '2'}: field.time_bands expects an integer, "
+         "got '2'"),
+        ("field_meta", {"pos_bands": 2, "time_bands": 0},
+         "is {'pos_bands': 2, 'time_bands': 0}: field.time_bands must be in [1, inf), got 0"),
+        ("field_meta", [2, 2], "is [2, 2]: list indices must be integers or slices, not str"),
+        ("rng_state", {"bit_generator": "MT19937", "state": {"key": [1] * 624, "pos": 624}},
+         "is not a PCG64 state (state must be for a PCG64 RNG)"),
+        ("rng_state", 7, "is not a PCG64 state (state must be a dict)"),
+    ], ids=["iteration_str", "iteration_float", "iteration_bool", "adam_t_negative",
+            "bands_str", "bands_out_of_range", "bands_list", "rng_mt19937", "rng_int"])
+    def test_meta_entries_checked(self, tmp_path, entry, value, detail):
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        write_checkpoint(path, arrays, {**meta, entry: value})
+        assert_rejected(path, f"meta entry {entry!r} " + detail)
+
+    def test_missing_band_named(self, tmp_path):
+        path, arrays, meta = saved_checkpoint(tmp_path)
+        write_checkpoint(path, arrays, {**meta, "field_meta": {"time_bands": 2}})
+        assert_rejected(path, "missing entry 'pos_bands'")
 
     def test_header_without_meta_rejected(self, tmp_path):
         path = tmp_path / "bare.kgs"
