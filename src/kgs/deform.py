@@ -184,24 +184,23 @@ def _clamp_norm_backward(cache, d_out):
 def offset_head(x, w1, b1, w2, b2, layer_name):
     """Clamped (N,9) offsets of a one-hidden-layer ReLU MLP over input rows
     x; returns (offsets, cache) for offset_head_backward."""
-    h_pre = x @ w1.T + b1
-    h = np.maximum(h_pre, 0.0)
+    h = np.maximum(x @ w1.T + b1, 0.0)
     raw = h @ w2.T + b2
     bad = ~np.isfinite(raw).all(axis=1)
     if bad.any():
         raise NumericalError(f"{layer_name}: non-finite output in row {int(np.argmax(bad))}")
     offsets, clamp_cache = clamp_offsets(raw)
-    return offsets, (x, h_pre, h, clamp_cache)
+    return offsets, (x, h, clamp_cache)
 
 
 def offset_head_backward(cache, w1, w2, d_offsets):
     """Returns (d_w1, d_b1, d_w2, d_b2, d_x)."""
-    x, h_pre, h, clamp_cache = cache
+    x, h, clamp_cache = cache
     d_out = clamp_offsets_backward(clamp_cache, d_offsets)
     d_w2 = d_out.T @ h
     d_b2 = d_out.sum(axis=0)
     d_h = d_out @ w2
-    d_hpre = d_h * (h_pre > 0)
+    d_hpre = d_h * (h > 0)    # h > 0 exactly where its pre-activation is
     d_w1 = d_hpre.T @ x
     d_b1 = d_hpre.sum(axis=0)
     d_x = d_hpre @ w1

@@ -19,12 +19,17 @@ state: the pose stage drops the head and clamp caches once the offsets
 exist.
 
 A tile is composited in depth-ordered slices of CHUNK (256) splats by one
-chunk step, which the forward and the backward pass share. The forward
-carries transmittance from slice to slice and records each slice's
-entering transmittance on the tape. The backward walks the slices back to
-front: it re-evaluates one slice from its record, which reproduces the
-forward's transmittance and blend weights bit-exactly, and carries the
-summed contributions of the splats behind it.
+chunk step. The forward carries transmittance from slice to slice. In
+train mode the chunk step writes each slice's footprint weights G (pixels
+x k) and its transmittance scan T (pixels x (k + 1), entering
+transmittance first) to fresh arrays, and the tape keeps them: 16 B per
+pixel x splat pair plus 8 B per pixel per slice, 3.2-3.7 MiB on a frame
+of perfbench's blur_train (48 x 48). The backward walks the slices back
+to front. From G and T it derives alpha, 1 - alpha, the processed mask and
+the blend weights with the forward's own ufuncs, so they are the
+forward's bit for bit, and it carries the summed contributions of the
+splats behind each splat; it never runs the chunk step. An eval-mode
+render keeps no G or T.
 
 A tile's pixels are a grid of columns and rows, so the chunk step takes
 each splat's offsets per column (dx) and per row (dy) and builds the
@@ -36,12 +41,12 @@ operations are pixels x splats. The backward sums d q over rows and over
 columns and weights the sums by dx and dy: only the cross moment needs a
 full-size product.
 
-Every pixels x splats array is a C-contiguous view of a per-thread
-workspace (see _views), so no slice allocates one. The chunk step computes
-in place: G is exp(h) times the footprint mask, and one scan buffer holds
-[t_in, 1 - alpha] for the running product. The backward's re-run skips the
-forward's t_out gather, divides by the kept 1 - alpha, and uses one buffer
-for d_alpha G and then for d_q.
+Every pixels x splats array but a train tape's G and T is a C-contiguous
+view of a per-thread workspace (see _views), so a slice allocates no other.
+The chunk step computes in place: G is exp(h) times the footprint mask,
+and one scan buffer holds [t_in, 1 - alpha] for the running product. The
+backward divides by 1 - alpha and uses one buffer for d_alpha G and then
+for d_q.
 
 Tiles run one after another, in tile order, on the calling thread.
 """
@@ -125,8 +130,8 @@ class RenderedFrame:
 @dataclass
 class RenderTape:
     """What render_backward reads. An eval-mode tape keeps only tiles,
-    touched, cam, settings, n and transmittance; pose, proj and
-    chunk_starts are None, and its render built no backward state."""
+    touched, cam, settings, n and transmittance; pose, proj and slices are
+    None, and its render built no backward state."""
     pose: dict | None
     proj: dict | None
     tiles: list                # per tile, splat indices in depth order
@@ -134,7 +139,7 @@ class RenderTape:
     cam: Camera
     settings: RenderSettings
     n: int
-    chunk_starts: list | None  # per tile, (slices, pixels) entering transmittance
+    slices: list | None        # per tile, per slice (G, T); see _chunk_step
     transmittance: np.ndarray  # (H,W) final transmittance
 
 
@@ -422,36 +427,58 @@ def _pixel_axes(rect):
 
 def _views(rows, p, k):
     """C-contiguous (p, k) views of the calling thread's scratch rows, for a
-    tile of p pixels and k <= CHUNK + 1: float64 rows 0-10 and bool rows
-    11-12 of p * (CHUNK + 1) entries, made on first use and again for a tile
-    of more pixels (at the defaults, 64 * 257 entries, 1.5 MB in all). The
-    rows are per thread so that renders called from two threads never share
-    them. The chunk step uses rows 0-6, 11 and 12, the tile backward rows
-    7-10 and 11."""
+    tile of p pixels and k <= CHUNK + 1: float64 rows 0-7 and bool rows 8-9
+    of p * (CHUNK + 1) entries, made on first use and again for a tile of
+    more pixels (at the defaults, 64 * 257 entries, 1.1 MB in all). The rows
+    are per thread so that renders called from two threads never share
+    them. The chunk step uses rows 0 and 2-5, 8 and 9, and rows 1 and 6 for
+    G and T unless it keeps them; the tile backward uses rows 0-7, 8 and 9."""
     size = p * (CHUNK + 1)
     if getattr(_SCRATCH, "size", 0) < size:
         _SCRATCH.size = size
-        _SCRATCH.rows = [*np.empty((11, size)), *np.empty((2, size), dtype=bool)]
+        _SCRATCH.rows = [*np.empty((8, size)), *np.empty((2, size), dtype=bool)]
     return [_SCRATCH.rows[i][:p * k].reshape(p, k) for i in rows]
 
 
-def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, want_t_out=True):
+def _blend(G, opac, alpha_raw, alpha, one_minus_alpha):
+    """alpha_raw = opac G, alpha = min(alpha_raw, ALPHA_MAX) and 1 - alpha,
+    into the given arrays."""
+    np.multiply(opac, G, out=alpha_raw)
+    np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
+    np.subtract(1.0, alpha, out=one_minus_alpha)
+
+
+def _weights(alpha, t_before, proc, w):
+    """The processed mask t_before >= TRANSMITTANCE_CUTOFF and the blend
+    weights alpha t_before of the processed splats, into proc and w."""
+    np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
+    np.multiply(alpha, t_before, out=w)
+    w *= proc
+
+
+def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, keep=False):
     """Composite the row-major pixel grid of columns xs and rows ys,
     entering with transmittance t_in, against one depth-ordered slice idx of
-    a tile's splats.
+    a tile's splats. Returns h, G, alpha_raw, T, proc, w and t_out.
 
-    h is the exponent -0.5 q of each splat's footprint at each pixel. The
-    transmittance product is seeded with t_in, so it is the same sequential
+    h is the exponent -0.5 q of each splat's footprint at each pixel and G
+    its footprint weight. T is the transmittance scan: its first column is
+    t_in and column i + 1 the product past splat i, the same sequential
     product as over the whole tile. The splats a pixel processes are a
-    prefix of its list; the returned t_out is the transmittance after its
-    last processed one, which is both the seed of the next slice and, after
-    the last slice, the pixel's final transmittance (None unless
-    want_t_out). The (pixels, splats) results are views into this thread's
-    workspace, valid only until the next chunk step on that thread.
+    prefix of its list; t_out is the transmittance after its last processed
+    one, which is both the seed of the next slice and, after the last
+    slice, the pixel's final transmittance. With keep, G and T are fresh
+    arrays; every other (pixels, splats) result, and G and T without keep,
+    is a view into this thread's workspace, valid only until the next chunk
+    step on that thread.
     """
     p, k = t_in.size, idx.size
-    h, G, alpha_raw, alpha, w, inside, proc = _views((0, 1, 2, 3, 4, 11, 12), p, k)
-    scan, T = _views((5, 6), p, k + 1)
+    h, alpha_raw, alpha, w, inside, proc = _views((0, 2, 3, 4, 8, 9), p, k)
+    scan, = _views((5,), p, k + 1)
+    if keep:
+        G, T = np.empty((p, k)), np.empty((p, k + 1))
+    else:
+        (G,), (T,) = _views((1,), p, k), _views((6,), p, k + 1)
     dx = xs[:, None] - mean2d[idx, 0]
     dy = ys[:, None] - mean2d[idx, 1]
     # -0.5 q from coefficients scaled by -0.5: a power of two, so each
@@ -464,57 +491,57 @@ def _chunk_step(idx, xs, ys, t_in, mean2d, conic, opac, want_t_out=True):
     # exp(h) masked by a product, as np.where would: exp is finite at h <= 0
     np.exp(h, out=G)
     G *= np.greater_equal(h, -0.5 * FOOTPRINT_CHI2, out=inside)
-    np.multiply(opac[idx], G, out=alpha_raw)
-    np.minimum(alpha_raw, ALPHA_MAX, out=alpha)
+    _blend(G, opac[idx], alpha_raw, alpha, scan[:, 1:])
     scan[:, 0] = t_in
-    one_minus_alpha = np.subtract(1.0, alpha, out=scan[:, 1:])
     np.cumprod(scan, axis=1, out=T)
-    t_before = T[:, :-1]
-    np.greater_equal(t_before, TRANSMITTANCE_CUTOFF, out=proc)
-    np.multiply(alpha, t_before, out=w)
-    w *= proc
-    t_out = T[np.arange(p), proc.sum(axis=1)] if want_t_out else None
-    return dx, dy, h, G, alpha_raw, one_minus_alpha, t_before, proc, w, t_out
+    _weights(alpha, T[:, :-1], proc, w)
+    t_out = T[np.arange(p), proc.sum(axis=1)]
+    return h, G, alpha_raw, T, proc, w, t_out
 
 
 def _chunks(idx):
     return [(lo, idx[lo:lo + CHUNK]) for lo in range(0, idx.size, CHUNK)]
 
 
-def _tile_forward(idx, rect, mean2d, conic, opac, colors, s: RenderSettings):
+def _tile_forward(idx, rect, mean2d, conic, opac, colors, s: RenderSettings,
+                  keep=False):
     """Composite one tile slice by slice. Returns its pixels, final
-    transmittance, per-splat blend weights, and each slice's entering
-    transmittance (one row per slice) for the backward pass."""
+    transmittance and per-splat blend weights, and with keep each slice's
+    (G, T) for the backward pass (None without)."""
     xs, ys = _pixel_axes(rect)
     trans = np.ones(ys.size * xs.size)
     pix = np.zeros((trans.size, 3))
     importance = np.empty(idx.size)
-    chunks = _chunks(idx)
-    starts = np.empty((len(chunks), trans.size))
-    for j, (lo, sl) in enumerate(chunks):
-        starts[j] = trans
-        *_, w, trans = _chunk_step(sl, xs, ys, trans, mean2d, conic, opac)
+    kept = [] if keep else None
+    for lo, sl in _chunks(idx):
+        _, G, _, T, _, w, trans = _chunk_step(sl, xs, ys, trans, mean2d, conic, opac, keep)
+        if keep:
+            kept.append((G, T))
         pix += w @ colors[sl]
         importance[lo:lo + sl.size] = w.sum(axis=0)
     pix += trans[:, None] * s.background
     return (pix.reshape(ys.size, xs.size, 3), trans.reshape(ys.size, xs.size),
-            importance, starts)
+            importance, kept)
 
 
-def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
+def _tile_backward(idx, rect, kept, t_final, mean2d, conic, opac, colors,
                    s: RenderSettings, d_img_tile):
     """Gradients of one tile's splats, columns (mean2d 2, conic 3, opacity 1,
-    color 3). Walks the slices back to front from their recorded entering
-    transmittance, carrying the summed contributions behind each splat."""
+    color 3). Walks the slices back to front from their kept (G, T),
+    carrying the summed contributions behind each splat."""
     xs, ys = _pixel_axes(rect)
     p = d_img_tile.reshape(-1, 3)
     behind = (p @ s.background) * t_final.reshape(-1)
     grads = np.empty((idx.size, 9))
-    for j, (lo, sl) in reversed(list(enumerate(_chunks(idx)))):
-        dx, dy, _, G, alpha_raw, one_minus_alpha, t_before, proc, w, _ = _chunk_step(
-            sl, xs, ys, starts[j], mean2d, conic, opac, want_t_out=False)
-        d_w, d_alpha, tmp, keep = _views((7, 8, 9, 11), p.shape[0], sl.size)
-        acc, = _views((10,), p.shape[0], sl.size + 1)
+    for (lo, sl), (G, T) in reversed(list(zip(_chunks(idx), kept))):
+        d_w, d_alpha, alpha_raw, alpha, w, one_minus_alpha, tmp, live, proc = _views(
+            (0, 1, 2, 3, 4, 5, 7, 8, 9), p.shape[0], sl.size)
+        acc, = _views((6,), p.shape[0], sl.size + 1)
+        t_before = T[:, :-1]
+        _blend(G, opac[sl], alpha_raw, alpha, one_minus_alpha)
+        _weights(alpha, t_before, proc, w)
+        dx = xs[:, None] - mean2d[sl, 0]
+        dy = ys[:, None] - mean2d[sl, 1]
         np.matmul(p, colors[sl].T, out=d_w)
         # acc[:, i]: behind + the contributions d_w * w of the slice's last i
         # splats, so acc[:, -2::-1][:, k] sums everything behind splat k
@@ -524,8 +551,8 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
         behind = acc[:, -1].copy()
         np.multiply(d_w, t_before, out=d_alpha)
         d_alpha -= np.divide(acc[:, -2::-1], one_minus_alpha, out=tmp)
-        np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
-        d_alpha *= np.logical_and(keep, proc, out=keep)   # d/d alpha_raw
+        np.less_equal(alpha_raw, ALPHA_MAX, out=live)
+        d_alpha *= np.logical_and(live, proc, out=live)   # d/d alpha_raw
         g = grads[lo:lo + sl.size]
         g[:, 5] = np.multiply(d_alpha, G, out=tmp).sum(axis=0)
         # d_q = d_alpha * opac * (-0.5 G), with the exact factor -0.5 on opac
@@ -548,7 +575,7 @@ def _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors,
     return grads
 
 
-def _raster_forward(tiles, cam, proj, pose, s: RenderSettings, n):
+def _raster_forward(tiles, cam, proj, pose, s: RenderSettings, n, keep=False):
     ntx = (cam.width + s.tile - 1) // s.tile
     width, height = cam.width, cam.height
     image = np.empty((height, width, 3))
@@ -556,16 +583,16 @@ def _raster_forward(tiles, cam, proj, pose, s: RenderSettings, n):
     mean2d, conic = proj["mean2d"], proj["conic"]
     opac, colors = pose["opac"], pose["colors_c"]
 
-    starts, weights = [], []
+    slices, weights = [], []
     for tid, idx in enumerate(tiles):
         x0, y0, x1, y1 = rect = _tile_rect(tid, ntx, s.tile, width, height)
-        pix, tfin, imp, st = _tile_forward(idx, rect, mean2d, conic, opac, colors, s)
+        pix, tfin, imp, kept = _tile_forward(idx, rect, mean2d, conic, opac, colors, s, keep)
         image[y0:y1, x0:x1] = pix
         trans[y0:y1, x0:x1] = tfin
         weights.append(imp)
-        starts.append(st)
+        slices.append(kept)
     importance = np.bincount(np.concatenate(tiles), np.concatenate(weights), minlength=n)
-    return image, trans, importance, starts
+    return image, trans, importance, slices if keep else None
 
 
 def _raster_backward(tape: RenderTape, d_image):
@@ -577,9 +604,9 @@ def _raster_backward(tape: RenderTape, d_image):
     opac, colors = pose["opac"], pose["colors_c"]
 
     per_tile = []
-    for tid, (idx, starts) in enumerate(zip(tape.tiles, tape.chunk_starts)):
+    for tid, (idx, kept) in enumerate(zip(tape.tiles, tape.slices)):
         x0, y0, x1, y1 = rect = _tile_rect(tid, ntx, s.tile, width, height)
-        per_tile.append(_tile_backward(idx, rect, starts, tape.transmittance[y0:y1, x0:x1],
+        per_tile.append(_tile_backward(idx, rect, kept, tape.transmittance[y0:y1, x0:x1],
                                        mean2d, conic, opac, colors, s,
                                        d_image[y0:y1, x0:x1]))
     grads = np.concatenate(per_tile)
@@ -616,8 +643,8 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
                          blur_dt, sigma, rng, settings, keep=train)
     proj = project(pose["pos_t"], pose["cov_render"], cam)
     tiles, touched = _bin_tiles(proj, cam.width, cam.height, settings.tile)
-    image, trans, importance, starts = _raster_forward(tiles, cam, proj, pose,
-                                                       settings, scene.n)
+    image, trans, importance, slices = _raster_forward(tiles, cam, proj, pose,
+                                                       settings, scene.n, keep=train)
     if not np.all(np.isfinite(image)):
         y, x = np.argwhere(~np.isfinite(image))[0, :2]
         raise NumericalError(f"raster stage: non-finite pixel at ({y}, {x})")
@@ -626,9 +653,9 @@ def render(scene, partition: Partition, fieldp, cam: Camera, t, settings: Render
     if not want_tape:
         return frame
     if not train:
-        pose = proj = starts = None
+        pose = proj = None
     tape = RenderTape(pose=pose, proj=proj, tiles=tiles, touched=touched,
-                      cam=cam, settings=settings, n=scene.n, chunk_starts=starts,
+                      cam=cam, settings=settings, n=scene.n, slices=slices,
                       transmittance=trans)
     return frame, tape
 

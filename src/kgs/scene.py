@@ -114,9 +114,15 @@ def read_checkpoint(path):
     # TypeError: a plain .npy file loads as an array, not as an archive
     except (zipfile.BadZipFile, ValueError, KeyError, EOFError, TypeError) as err:
         raise InvalidInputError(f"unreadable checkpoint {path}: {err}") from err
+    if not isinstance(header, dict):
+        raise InvalidInputError(f"checkpoint {path}: header is a {type(header).__name__}, "
+                                f"not a JSON object")
     if header.get("version") != VERSION:
         raise InvalidInputError(
             f"unsupported checkpoint version {header.get('version')!r} in {path}")
     if "meta" not in header:
         raise InvalidInputError(f"checkpoint {path}: header has no entry 'meta'")
+    if not isinstance(header["meta"], dict):
+        raise InvalidInputError(f"checkpoint {path}: header entry 'meta' is a "
+                                f"{type(header['meta']).__name__}, not a JSON object")
     return arrays, header["meta"]

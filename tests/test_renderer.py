@@ -29,6 +29,7 @@ from kgs.renderer import (
     RenderSettings,
     _bin_tiles,
     _chunk_step,
+    _chunks,
     _pixel_axes,
     _raster_forward,
     _tile_backward,
@@ -181,6 +182,56 @@ def tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s, d_img_tile):
     return grads
 
 
+def rerun_tile_backward(idx, rect, mean2d, conic, opac, colors, s, d_img_tile):
+    """The tile backward as it ran before the tape kept G and T, as a
+    reference for _tile_backward: a forward walk records each slice's
+    entering transmittance, then the walk back to front re-runs the chunk
+    step of each slice from its record, with the same operations after it."""
+    xs, ys = _pixel_axes(rect)
+    starts, t_final = [], np.ones(xs.size * ys.size)
+    for _, sl in _chunks(idx):
+        starts.append(t_final)
+        t_final = _chunk_step(sl, xs, ys, t_final, mean2d, conic, opac)[-1]
+    p = d_img_tile.reshape(-1, 3)
+    behind = (p @ s.background) * t_final
+    grads = np.empty((idx.size, 9))
+    for (lo, sl), t_in in reversed(list(zip(_chunks(idx), starts))):
+        _, G, alpha_raw, T, proc, w, _ = _chunk_step(sl, xs, ys, t_in, mean2d, conic, opac)
+        dx = xs[:, None] - mean2d[sl, 0]
+        dy = ys[:, None] - mean2d[sl, 1]
+        one_minus_alpha = 1.0 - np.minimum(alpha_raw, ALPHA_MAX)
+        t_before = T[:, :-1]
+        d_w, d_alpha, tmp = (np.empty(G.shape) for _ in range(3))
+        keep = np.empty(G.shape, dtype=bool)
+        acc = np.empty(T.shape)
+        np.matmul(p, colors[sl].T, out=d_w)
+        acc[:, 0] = behind
+        np.multiply(d_w[:, ::-1], w[:, ::-1], out=acc[:, 1:])
+        np.cumsum(acc, axis=1, out=acc)
+        behind = acc[:, -1].copy()
+        np.multiply(d_w, t_before, out=d_alpha)
+        d_alpha -= np.divide(acc[:, -2::-1], one_minus_alpha, out=tmp)
+        np.less_equal(alpha_raw, ALPHA_MAX, out=keep)
+        d_alpha *= np.logical_and(keep, proc, out=keep)
+        g = grads[lo:lo + sl.size]
+        g[:, 5] = np.multiply(d_alpha, G, out=tmp).sum(axis=0)
+        d_q = np.multiply(d_alpha, -0.5 * opac[sl], out=tmp)
+        d_q *= G
+        d_q = d_q.reshape(ys.size, xs.size, sl.size)
+        per_col = d_q.sum(axis=0)
+        per_row = d_q.sum(axis=1)
+        per_col_y = np.multiply(d_q, dy[:, None], out=d_alpha.reshape(d_q.shape)).sum(axis=0)
+        sx, sy = (per_col * dx).sum(axis=0), (per_row * dy).sum(axis=0)
+        a, b, c = conic[sl].T
+        g[:, 0] = -(2.0 * a * sx + 2.0 * b * sy)
+        g[:, 1] = -(2.0 * b * sx + 2.0 * c * sy)
+        g[:, 2] = (per_col * dx * dx).sum(axis=0)
+        g[:, 3] = 2.0 * (per_col_y * dx).sum(axis=0)
+        g[:, 4] = (per_row * dy * dy).sum(axis=0)
+        g[:, 6:9] = w.T @ p
+    return grads
+
+
 def kernel_tiles(tile):
     """Tiles of the 20x12 camera over deep splats of mixed size and opacity,
     a few opaque enough to hit alpha_max, with the tile rects."""
@@ -204,7 +255,8 @@ def check_chunk_step(sl, xs, ys, t_in, mean2d, conic, opac):
     processed mask are equal. Returns the chunk step's results, valid until
     the next chunk step."""
     out = _chunk_step(sl, xs, ys, t_in, mean2d, conic, opac)
-    _, _, h, G, alpha_raw, _, t_before, proc, w, t_out = out
+    h, G, alpha_raw, T, proc, w, t_out = out
+    t_before = T[:, :-1]
     for p, (px, py) in enumerate((x, y) for y in ys for x in xs):
         (q_p, G_p, a_p, t_p, w_p), t_end = composite_pixel(
             px, py, sl, t_in[p], mean2d, conic, opac)
@@ -250,7 +302,7 @@ class TestKernel:
             t_in = np.ones(xs.size * ys.size)
             for lo in range(0, idx.size, SLICE):
                 sl = idx[lo:lo + SLICE]
-                _, _, _, G, _, _, _, proc, _, t_out = check_chunk_step(
+                _, G, _, _, proc, _, t_out = check_chunk_step(
                     sl, xs, ys, t_in, mean2d, conic, opac)
                 crossed += int((proc[:, 0] & ~proc[:, -1]).sum())
                 missed += int((G == 0).sum())
@@ -268,17 +320,20 @@ class TestKernel:
         t_in = np.ones(64)
         kinds = []
         for lo in range(0, idx.size, SLICE):
-            *_, alpha_raw, _, _, proc, _, t_out = check_chunk_step(
+            _, _, alpha_raw, _, proc, _, t_out = check_chunk_step(
                 idx[lo:lo + SLICE], xs, ys, t_in, mean2d, conic, opac)
             kinds.append((bool((alpha_raw > ALPHA_MAX).any()), bool(proc.all()),
                           bool(proc[:, 0].all() and not proc[:, -1].any())))
             t_in = t_out
         assert kinds == [(False, True, False), (True, True, False), (False, False, True)]
         s = RenderSettings(background=SETTINGS.background, tile=8)
-        _, t_final, _, starts = _tile_forward(idx, rect, mean2d, conic, opac, colors, s)
+        _, t_final, _, kept = _tile_forward(idx, rect, mean2d, conic, opac, colors, s,
+                                            keep=True)
         d_img = np.random.default_rng(22).normal(size=(8, 8, 3))
-        got = _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac, colors, s,
+        got = _tile_backward(idx, rect, kept, t_final, mean2d, conic, opac, colors, s,
                              d_img)
+        np.testing.assert_array_equal(
+            got, rerun_tile_backward(idx, rect, mean2d, conic, opac, colors, s, d_img))
         want = tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s, d_img)
         scale = np.abs(want).max(axis=0)
         assert (scale > 0).all()
@@ -291,10 +346,10 @@ class TestKernel:
         rng = np.random.default_rng(12)
         for idx, rect in zip(tiles, rects):
             x0, y0, x1, y1 = rect
-            _, t_final, _, starts = _tile_forward(idx, rect, mean2d, conic, opac,
-                                                  colors, s)
+            _, t_final, _, kept = _tile_forward(idx, rect, mean2d, conic, opac,
+                                                colors, s, keep=True)
             d_img = rng.normal(size=(y1 - y0, x1 - x0, 3))
-            got = _tile_backward(idx, rect, starts, t_final, mean2d, conic, opac,
+            got = _tile_backward(idx, rect, kept, t_final, mean2d, conic, opac,
                                  colors, s, d_img)
             want = tile_backward_oracle(idx, rect, mean2d, conic, opac, colors, s,
                                         d_img)
@@ -302,6 +357,50 @@ class TestKernel:
             assert (scale > 0).all()
             assert (np.abs(got - want) <= 1e-13 * scale).all(), \
                 np.abs(got - want).max(axis=0) / scale
+
+    @pytest.mark.parametrize("tile", [16, 6])
+    def test_tile_backward_is_the_rerun(self, tile):
+        """The backward from the kept G and T gives exactly the gradients of
+        the re-run chunk steps, on tiles of three slices or more with partial
+        edge tiles, slices that cross the transmittance cutoff and alpha
+        capped at ALPHA_MAX."""
+        tiles, rects, mean2d, conic, opac, colors, s = kernel_tiles(tile)
+        rng = np.random.default_rng(13)
+        partial = crossing = capped = 0
+        for idx, rect in zip(tiles, rects):
+            x0, y0, x1, y1 = rect
+            _, t_final, _, kept = _tile_forward(idx, rect, mean2d, conic, opac,
+                                                colors, s, keep=True)
+            assert len(kept) >= 3
+            partial += (x1 - x0) * (y1 - y0) < tile * tile
+            for (_, sl), (G, T) in zip(_chunks(idx), kept):
+                proc = T[:, :-1] >= TRANSMITTANCE_CUTOFF
+                crossing += int((proc[:, 0] & ~proc[:, -1]).sum())
+                capped += int((opac[sl] * G > ALPHA_MAX).sum())
+            d_img = rng.normal(size=(y1 - y0, x1 - x0, 3))
+            got = _tile_backward(idx, rect, kept, t_final, mean2d, conic, opac,
+                                 colors, s, d_img)
+            np.testing.assert_array_equal(
+                got, rerun_tile_backward(idx, rect, mean2d, conic, opac, colors, s, d_img))
+        assert partial > 0 and crossing > 0 and capped > 0
+
+    @pytest.mark.parametrize("tile", [16, 6])
+    def test_frame_gradients_are_the_rerun(self, tile, monkeypatch):
+        """Every gradient of an opaque deep train frame, with partial edge
+        tiles at tile 6, equals the one of the re-run tile backward."""
+        scene, fieldp, partition, table, cam = deep_scene(6, opacity=0.3)
+        s = RenderSettings(background=SETTINGS.background, tile=tile)
+        frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
+        assert frame.transmittance.min() < TRANSMITTANCE_CUTOFF
+        d_img = np.random.default_rng(tile).normal(size=frame.image.shape)
+        got = render_backward(tape, d_img, fieldp, *no_extras(tape))
+        monkeypatch.setattr(renderer, "_tile_backward",
+                            lambda idx, rect, kept, t_final, *rest:
+                            rerun_tile_backward(idx, rect, *rest))
+        want = render_backward(tape, d_img, fieldp, *no_extras(tape))
+        for name, g in want.grads.items():
+            np.testing.assert_array_equal(got.grads[name], g, err_msg=name)
+        np.testing.assert_array_equal(got.densify_norm, want.densify_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +598,17 @@ def check_central_differences(params, analytic, loss, rng):
 
 
 def render_and_backward(case):
-    """A train frame and its gradients at one tile size, as a list of
-    arrays; checks that none aliases the calling thread's workspace."""
+    """A train frame, the G and T its tape keeps, and its gradients at one
+    tile size, as a list of arrays; checks that none aliases the calling
+    thread's workspace."""
     (scene, fieldp, partition, table, cam), tile = case
     s = RenderSettings(background=SETTINGS.background, tile=tile)
     frame, tape = train_frame(scene, fieldp, partition, table, cam, s)
     d_img = np.random.default_rng(tile).normal(size=frame.image.shape)
     grads = render_backward(tape, d_img, fieldp, *no_extras(tape))
     out = [frame.image, frame.transmittance, frame.importance,
-           tape.transmittance, *tape.chunk_starts, *grads.grads.values(),
+           tape.transmittance, *(a for kept in tape.slices for pair in kept for a in pair),
+           *grads.grads.values(),
            grads.densify_norm, grads.densify_count]
     for buf in renderer._SCRATCH.rows:
         assert not any(np.shares_memory(a, buf) for a in out)
@@ -857,7 +958,6 @@ def check_binning(proj, width, height, tile):
     np.testing.assert_array_equal(touched, want_touched)
     assert len(tiles) == len(want_tiles) == len(square)
     ntx = (width + tile - 1) // tile
-    s = RenderSettings(tile=tile)
     n = proj["mean2d"].shape[0]
     kept_anywhere = np.zeros(n, dtype=bool)
     dropped = 0
@@ -873,8 +973,8 @@ def check_binning(proj, width, height, tile):
         xs, ys = _pixel_axes(_tile_rect(tid, ntx, tile, width, height))
         for lo in range(0, gone.size, SLICE):
             sl = gone[lo:lo + SLICE]
-            _, _, h, G, *_ = _chunk_step(sl, xs, ys, np.ones(xs.size * ys.size),
-                                         proj["mean2d"], proj["conic"], np.ones(n), s)
+            h, G, *_ = _chunk_step(sl, xs, ys, np.ones(xs.size * ys.size),
+                                   proj["mean2d"], proj["conic"], np.ones(n))
             assert np.all(-2.0 * h > FOOTPRINT_CHI2) and not G.any()
     np.testing.assert_array_equal(touched, kept_anywhere)
     return dropped
@@ -989,7 +1089,7 @@ class TestTape:
         s = RenderSettings(background=SETTINGS.background, tile=6)
         frame, tape = render(scene, partition, fieldp, cam, 0.5, s, mode="eval",
                              neighbor_table=table, want_tape=True)
-        assert tape.pose is None and tape.proj is None and tape.chunk_starts is None
+        assert tape.pose is None and tape.proj is None and tape.slices is None
         pose = renderer._pose_forward(scene, partition, fieldp, table, 0.5, 1.0, 0.0,
                                       0.0, None, s)
         proj = project(pose["pos_t"], pose["cov_render"], cam)
@@ -1008,6 +1108,26 @@ class TestTape:
             pairs += area * len(idx)
             want_pairs += area * want.size
         assert pairs == want_pairs > 0
+
+    def test_train_tape_keeps_g_and_t_only(self):
+        """A train tape keeps, per slice of k splats on a tile of p pixels,
+        G (p x k) and T (p x (k + 1)) in float64: 8 p (2k + 1) bytes, with
+        partial edge tiles at tile 6. Each kept array owns its buffer, so
+        none holds a larger one alive behind a view."""
+        scene, fieldp, partition, table, cam = deep_scene(9, opacity=0.3)
+        s = RenderSettings(background=SETTINGS.background, tile=6)
+        _, tape = train_frame(scene, fieldp, partition, table, cam, s)
+        ntx = (cam.width + s.tile - 1) // s.tile
+        kept = want = 0
+        for tid, (idx, slices) in enumerate(zip(tape.tiles, tape.slices)):
+            x0, y0, x1, y1 = _tile_rect(tid, ntx, s.tile, cam.width, cam.height)
+            p = (x1 - x0) * (y1 - y0)
+            assert len(slices) == -(-idx.size // renderer.CHUNK) >= 3
+            for lo in range(0, idx.size, renderer.CHUNK):
+                want += 8 * p * (2 * min(renderer.CHUNK, idx.size - lo) + 1)
+            assert all(a.flags.owndata for pair in slices for a in pair)
+            kept += sum(a.nbytes for pair in slices for a in pair)
+        assert kept == want > 0
 
     def test_backward_of_eval_tape_rejected(self):
         scene, fieldp, partition, table, cam = deep_scene(8, n=60, opacity=0.3)

@@ -619,6 +619,21 @@ class TestCheckpoint:
             read_checkpoint(path)
         assert str(err.value) == f"checkpoint {path}: header has no entry 'meta'"
 
+    @pytest.mark.parametrize("header,detail", [
+        ([2], "header is a list, not a JSON object"),
+        ({"version": kgs.scene.VERSION, "meta": [1]},
+         "header entry 'meta' is a list, not a JSON object"),
+    ], ids=["header_list", "meta_list"])
+    def test_header_and_meta_must_be_objects(self, tmp_path, header, detail):
+        """Both readers name the file, not fail inside a lookup."""
+        path = tmp_path / "odd.kgs"
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.array(json.dumps(header)), x=np.zeros(2))
+        for reader in (read_checkpoint, load_checkpoint):
+            with pytest.raises(InvalidInputError) as err:
+                reader(path)
+            assert str(err.value) == f"checkpoint {path}: {detail}"
+
     def test_unknown_version_rejected(self, tmp_path, monkeypatch):
         path = tmp_path / "future.kgs"
         monkeypatch.setattr(kgs.scene, "VERSION", kgs.scene.VERSION + 1)
